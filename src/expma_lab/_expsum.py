@@ -16,7 +16,7 @@ import numpy as np
 
 
 class ExpSum:
-    """Immutable sum_k c_k * exp(-r_k * t); supports +, -, *, scaling, eval, integral."""
+    """Immutable sum_k c_k * exp(-r_k * t); supports +, -, *, eval, integral."""
 
     __slots__ = ("terms",)
 
@@ -26,10 +26,6 @@ class ExpSum:
             merged[rate] = merged.get(rate, 0.0) + coef
         self.terms = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
         # stored as (rate, coef) pairs sorted by rate; rate 0.0 is the constant term
-
-    @classmethod
-    def constant(cls, c: float) -> "ExpSum":
-        return cls([(c, 0.0)])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -64,19 +60,6 @@ class ExpSum:
             for r2, c2 in other.terms:
                 terms.append((c1 * c2, r1 + r2))
         return ExpSum(terms)
-
-    def scaled(self, s: float) -> "ExpSum":
-        return ExpSum([(s * c, r) for r, c in self.terms])
-
-    def value_at_zero(self) -> float:
-        return sum(c for _, c in self.terms)
-
-    def limit(self) -> float:
-        """Value as t -> infinity (the constant term); requires all rates >= 0."""
-        for rate, coef in self.terms:
-            if rate == 0.0:
-                return coef
-        return 0.0
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c:.6g}*exp(-{r:.6g} t)" for r, c in self.terms)

@@ -16,6 +16,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from . import ctmc as ctmc_mod
@@ -25,7 +26,7 @@ from .errors import ConfigError
 from .metrics import MetricsReport, compute_metrics
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine, validate, validate_sim)
-from .simulate import run_strategy, simulate_paths
+from .simulate import expma, run_strategy, simulate_paths
 
 EXPERIMENTS = ("performance", "lambda_sweep", "horizon_sweep", "vol_sweep",
                "cost_sweep", "pde", "growth_rates", "signal")
@@ -211,25 +212,28 @@ def build_strategies(params: ModelParams, T: float) -> list[tuple[str, Strategy]
     the Markov drift."""
     if params.is_ou:
         a1, b1 = ou_mod.optimal_utility_affine(params, T, benchmark_c=True)
-        a_inf, b_inf = ou_mod.growth_limit_affine(params)
-
-        def coeffs(t: float) -> tuple[float, float]:
-            return ou_mod.optimal_c2_coefficients(params, t)
-
+        c2 = partial(ou_mod.optimal_c2_coefficients, params)
         return [
             ("utility_c1", ConstantAffine(a1, b1, name="utility_c1")),
-            ("utility_c2", TimeVaryingAffine(coeffs, name="utility_c2")),
-            ("growth", ConstantAffine(a_inf, b_inf, name="growth")),
+            ("utility_c2", TimeVaryingAffine(c2, name="utility_c2")),
+            ("growth", _growth_strategy(params)),
             ("buy_hold", BuyAndHold()),
         ]
     a1, b1 = ctmc_mod.finite_horizon_affine(params, T)
-    c_inf, d_inf = ctmc_mod.optimal_growth_affine(params)
     return [
         ("utility_c1", ConstantAffine(a1, b1, name="utility_c1")),
-        ("growth", ConstantAffine(c_inf, d_inf, name="growth")),
+        ("growth", _growth_strategy(params)),
         ("filter", regime_filter.filter_strategy(params)),
         ("buy_hold", BuyAndHold()),
     ]
+
+
+def _growth_strategy(params: ModelParams) -> ConstantAffine:
+    """The growth-optimal constant affine weight: (a_inf, b_inf) for the OU
+    drift, (c_inf, d_inf) for the Markov drift."""
+    coeffs = (ou_mod.growth_limit_affine(params) if params.is_ou
+              else ctmc_mod.optimal_growth_affine(params))
+    return ConstantAffine(*coeffs, name="growth")
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -268,11 +272,11 @@ def run_experiment(config: ExperimentConfig) -> ReportSet:
 def _run_performance(config: ExperimentConfig, md: dict) -> ReportSet:
     bundle = simulate_paths(config.params, config.sim)
     md["bundle_hashes"].append(bundle.identity_hash())
-    rows = []
-    for name, strat in build_strategies(config.params, config.sim.horizon_months):
-        ledger = run_strategy(bundle, strat, config.sim.omega)
-        rows.append(ReportRow("performance", name, "", None,
-                              compute_metrics(ledger, config.sim)))
+    # each ledger goes straight into compute_metrics, so no two are alive at once
+    rows = [ReportRow("performance", name, "", None,
+                      compute_metrics(run_strategy(bundle, strat, config.sim.omega),
+                                      config.sim))
+            for name, strat in build_strategies(config.params, config.sim.horizon_months)]
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
@@ -284,12 +288,12 @@ def _sweep_rows(config: ExperimentConfig, md: dict, param_name: str,
         s = make_sim(v)
         bundle = simulate_paths(p, s)
         md["bundle_hashes"].append(bundle.identity_hash())
-        panel = dict(build_strategies(p, s.horizon_months))
-        names = ("growth", "buy_hold") if config.experiment == "vol_sweep" else ("growth",)
-        for name in names:
-            ledger = run_strategy(bundle, panel[name], s.omega)
+        strategies = [("growth", _growth_strategy(p))]
+        if config.experiment == "vol_sweep":
+            strategies.append(("buy_hold", BuyAndHold()))
+        for name, strat in strategies:
             rows.append(ReportRow(config.experiment, name, param_name, v,
-                                  compute_metrics(ledger, s)))
+                                  compute_metrics(run_strategy(bundle, strat, s.omega), s)))
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
@@ -311,15 +315,12 @@ def _run_horizon_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
 def _run_cost_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
     bundle = simulate_paths(config.params, config.sim)
     md["bundle_hashes"].append(bundle.identity_hash())
-    panel = dict(build_strategies(config.params, config.sim.horizon_months))
-    rows = []
-    for omega in config.sweep_values:
-        ledger = run_strategy(bundle, panel["growth"], omega)
-        rows.append(ReportRow("cost_sweep", "growth", "omega", omega,
-                              compute_metrics(ledger, config.sim)))
-    bh = run_strategy(bundle, panel["buy_hold"], 0.0)
+    growth = _growth_strategy(config.params)
+    rows = [ReportRow("cost_sweep", "growth", "omega", omega,
+                      compute_metrics(run_strategy(bundle, growth, omega), config.sim))
+            for omega in config.sweep_values]
     rows.append(ReportRow("cost_sweep", "buy_hold", "omega", 0.0,
-                          compute_metrics(bh, config.sim)))
+                          compute_metrics(run_strategy(bundle, BuyAndHold(), 0.0), config.sim)))
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
@@ -373,21 +374,21 @@ def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:
             raise ConfigError(f"signal input {path} must have columns date, close")
         for rec in reader:
             dates.append(rec["date"])
-            closes.append(float(rec["close"]))
+            try:
+                closes.append(float(rec["close"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"signal input {path} line {reader.line_num}: "
+                                  f"close {rec['close']!r} is not a number") from exc
     if len(closes) < 2:
         raise ConfigError(f"signal input {path} needs at least 2 rows")
 
     closes = np.asarray(closes)
-    if np.any(closes <= 0):
-        raise ConfigError("close prices must be positive")
+    if not np.all(np.isfinite(closes) & (closes > 0)):
+        raise ConfigError("close prices must be positive and finite")
     # one row per trading day unless dt overridden in sim config
     dt = config.sim.dt
     x = np.log(closes / closes[0])
-    y = np.empty_like(x)
-    y[0] = 0.0
-    lam = config.params.lam
-    for i in range(x.size - 1):
-        y[i + 1] = y[i] + lam * (x[i] - y[i]) * dt
+    y = expma(x, config.params.lam, dt, out=np.empty_like(x))
     z = x - y
 
     if config.params.is_ou:

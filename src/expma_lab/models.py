@@ -195,7 +195,9 @@ class Strategy:
 
     name: str = "strategy"
 
-    def weights(self, t: float, z: np.ndarray) -> np.ndarray:
+    def weights(self, t, z: np.ndarray) -> np.ndarray:
+        """Weights at signals `z`; `t` is a scalar or, as the wealth ledger
+        passes it, an array aligned with the last (time) axis of `z`."""
         raise NotImplementedError
 
 
@@ -223,11 +225,13 @@ class TimeVaryingAffine(Strategy):
     coefficients: Callable[[float], tuple[float, float]]
     name: str = "affine_t"
 
-    def weights(self, t: float, z: np.ndarray) -> np.ndarray:
+    def weights(self, t, z: np.ndarray) -> np.ndarray:
         a, b = self.coefficients(t)
-        if not (math.isfinite(a) and math.isfinite(b)):
+        t_all, ok = np.broadcast_arrays(t, np.isfinite(a) & np.isfinite(b))
+        if not ok.all():
             raise ValidationError([("strategy", "nonfinite_coefficients",
-                                    f"coefficient evaluator returned ({a}, {b}) at t={t}")])
+                                    f"coefficient evaluator returned a non-finite value "
+                                    f"at t={t_all[~ok][0]}")])
         return a * np.asarray(z, dtype=float) + b
 
 
@@ -252,9 +256,6 @@ class BuyAndHold(Strategy):
         return np.ones_like(np.asarray(z, dtype=float))
 
 
-StrategySpec = Union[ConstantAffine, TimeVaryingAffine, NonlinearFilter, BuyAndHold]
-
-
 # --- validation -------------------------------------------------------------
 
 def validate(params: ModelParams) -> ModelParams:
@@ -272,6 +273,11 @@ def validate(params: ModelParams) -> ModelParams:
 
     d = params.drift
     if isinstance(d, OUDrift):
+        if not math.isfinite(d.mu_bar):
+            v.append(("drift.mu_bar", "nonfinite_mu_bar",
+                      f"mu_bar must be finite, got {d.mu_bar}"))
+        if not math.isfinite(d.m1_0):
+            v.append(("drift.m1_0", "nonfinite_m1_0", f"m1_0 must be finite, got {d.m1_0}"))
         if not (d.kappa > 0):
             v.append(("drift.kappa", "nonpositive_kappa", f"kappa must be > 0, got {d.kappa}"))
         if not (d.delta > 0):
@@ -308,10 +314,19 @@ def validate_sim(config: SimConfig) -> SimConfig:
     if not (config.horizon_months > 0):
         v.append(("horizon_months", "nonpositive_horizon",
                   f"horizon_months must be > 0, got {config.horizon_months}"))
+    elif not math.isfinite(config.horizon_months):
+        v.append(("horizon_months", "nonfinite_horizon",
+                  f"horizon_months must be finite, got {config.horizon_months}"))
+    elif config.dt > 0 and config.n_steps < 1:
+        v.append(("horizon_months", "n_steps_too_small",
+                  f"horizon_months = {config.horizon_months} is shorter than half a step "
+                  f"(dt = {config.dt}); the simulation needs at least one step"))
     if not (config.n_paths >= 1):
         v.append(("n_paths", "n_paths_too_small", f"n_paths must be >= 1, got {config.n_paths}"))
     if not (0.0 <= config.omega < 1.0):
         v.append(("omega", "omega_out_of_range", f"omega must be in [0, 1), got {config.omega}"))
+    if not math.isfinite(config.x0):
+        v.append(("x0", "nonfinite_x0", f"x0 must be finite, got {config.x0}"))
     if v:
         raise ValidationError(v)
     return config

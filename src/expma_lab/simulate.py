@@ -20,10 +20,13 @@ self-financing pair
     Pi_{i+1} = Pi_(i+1)- - omega |Delta| e^{X_{i+1}}
     f_{i+1} Pi_{i+1} = (f_i Pi_i / e^{X_i} + Delta) e^{X_{i+1}}
 
-in closed form. All strategies start with one share of the risky asset and
-no cash (f_0 = 1); no trade happens on the terminal day. A path whose
-wealth would drop to <= 0 is frozen at its last positive value, trades no
-more, and is flagged bankrupt.
+in closed form. The pair is homogeneous of degree one in wealth, so wealth
+is the cumulative product of daily factors g(f_i, f_{i+1}, dX_i, omega),
+with the weights evaluated once over the whole (t, Z) grid. All strategies
+start with one share of the risky asset and no cash (f_0 = 1); no trade
+happens on the terminal day. A path is frozen at its first nonpositive
+factor: wealth stays at its last positive value, it trades no more, and it
+is flagged bankrupt.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LeverageCostSingularityError, ResourceLimitError,
-                     ValidationError)
+from .errors import (ConfigError, LeverageCostSingularityError,
+                     ResourceLimitError, ValidationError)
 from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy, validate, validate_sim)
 
@@ -85,6 +88,14 @@ class PathBundle:
                              f"{float(self.z[p, i])!r},{float(self.mu[p, i])!r}\n")
 
 
+def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
+    """Daily ExpMA of `x` along its last axis, written into `out`; starts at 0."""
+    out[..., 0] = 0.0
+    for i in range(x.shape[-1] - 1):
+        out[..., i + 1] = out[..., i] + lam * (x[..., i] - out[..., i]) * dt
+    return out
+
+
 def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
                                                      index & 0xFFFFFFFFFFFFFFFF]))
@@ -109,12 +120,11 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
     dt, sig = config.dt, params.sigma
     sq = math.sqrt(dt)
     x[sl, 0] = config.x0
-    y[sl, 0] = 0.0
     mu[sl, 0] = d.m1_0 + math.sqrt(d.v1_0) * mu0
     for i in range(n_steps):
         x[sl, i + 1] = x[sl, i] + (mu[sl, i] - 0.5 * sig**2) * dt + sig * sq * zs[:, i]
-        y[sl, i + 1] = y[sl, i] + params.lam * (x[sl, i] - y[sl, i]) * dt
         mu[sl, i + 1] = mu[sl, i] + d.kappa * (d.mu_bar - mu[sl, i]) * dt + d.delta * sq * zbars[:, i]
+    expma(x[sl], params.lam, dt, out=y[sl])
 
 
 def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
@@ -170,9 +180,7 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
         mu[row, :] = state_of
         x[row, 1:] = config.x0 + np.cumsum(d_int - 0.5 * sig**2 * dt + sig * sq * zs)
 
-    y[sl, 0] = 0.0
-    for i in range(n_steps):
-        y[sl, i + 1] = y[sl, i] + params.lam * (x[sl, i] - y[sl, i]) * dt
+    expma(x[sl], params.lam, dt, out=y[sl])
 
 
 def simulate_paths(params: ModelParams, config: SimConfig,
@@ -193,7 +201,11 @@ def simulate_paths(params: ModelParams, config: SimConfig,
             "simulate in path chunks (path_offset) instead")
 
     if workers is None:
-        workers = int(os.environ.get("EXPMA_THREADS", "1") or "1")
+        raw = os.environ.get("EXPMA_THREADS", "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
     workers = max(1, workers)
 
     x = np.empty((n, n_steps + 1), dtype=float)
@@ -250,9 +262,6 @@ class WealthLedger:
     def n_steps(self) -> int:
         return self.wealth.shape[1] - 1
 
-    def total_returns(self) -> np.ndarray:
-        return (self.wealth[:, -1] - self.pi0) / self.pi0
-
 
 def rebalance_delta(f_next, f_cur, pi_cur, x_cur, x_next, omega: float):
     """Share change moving weight f_cur -> f_next after the move x_cur -> x_next.
@@ -280,9 +289,9 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     """Evaluate one strategy on a shared path bundle.
 
     Strategies receive paths, never generate them, so every strategy in an
-    experiment consumes identical randomness. `force_cost_path` routes
-    omega = 0 through the transaction-cost arithmetic (used to verify the
-    frictionless shortcut is bit-identical).
+    experiment consumes identical randomness. Every omega takes the same
+    arithmetic (at omega = 0 the cost term is exactly 0), so
+    `force_cost_path` no longer selects anything; it is kept for callers.
     """
     if not (0.0 <= omega < 1.0):
         raise ValidationError([("omega", "omega_out_of_range",
@@ -291,7 +300,7 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
         raise ValidationError([("pi0", "nonpositive_pi0",
                                 f"initial wealth must be positive, got {bundle.pi0}")])
     n, S = bundle.n_paths, bundle.n_steps
-    x, z = bundle.x, bundle.z
+    x = bundle.x
     pi0 = bundle.pi0
 
     if isinstance(strategy, BuyAndHold):
@@ -303,65 +312,52 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
             dt=bundle.dt, omega=omega, pi0=pi0, x0=bundle.x0,
             strategy_name=strategy.name)
 
-    wealth = np.empty((n, S + 1))
-    pre_wealth = np.empty((n, S))
+    # weights[:, i] is held over [i, i+1): one share (f = 1) on day 0, then
+    # the target weight at (t_i, Z_i) for every rebalancing day i = 1..S-1
     weights = np.empty((n, S))
-    delta = np.zeros((n, S + 1))
-    cost = np.zeros(n)
-    bankrupt = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-
-    wealth[:, 0] = pi0
     weights[:, 0] = 1.0
-    frictionless = omega == 0.0 and not force_cost_path
+    t = np.arange(1, S) * bundle.dt
+    weights[:, 1:] = strategy.weights(t, bundle.z[:, 1:S])
+    finite = np.isfinite(weights).all(axis=0)
+    if not finite.all():
+        t_bad = t[finite.argmin() - 1]
+        raise ValidationError([("strategy", "nonfinite_weight",
+                                f"strategy produced non-finite weights at t={t_bad}")])
 
-    for i in range(S):
-        pi = wealth[:, i]
-        f = weights[:, i]
-        ex = np.exp(x[:, i + 1] - x[:, i])
-        pi_pre = pi * (1.0 - f + f * ex)
-        pre_wealth[:, i] = pi_pre
+    # share change and cost per unit of wealth for the trade on day i+1
+    d_unit = rebalance_delta(weights[:, 1:], weights[:, :-1], 1.0,
+                             x[:, :S - 1], x[:, 1:S], omega)
+    cost_unit = omega * np.abs(d_unit) * np.exp(x[:, 1:S])
 
-        if i + 1 == S:
-            newly = active & (pi_pre <= 0.0)
-            wealth[:, S] = np.where(newly, pi, pi_pre)
-            bankrupt |= newly
-            break
+    # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i
+    growth = 1.0 - weights + weights * np.exp(np.diff(x, axis=1))
 
-        t_next = (i + 1) * bundle.dt
-        f_next = np.asarray(strategy.weights(t_next, z[:, i + 1]), dtype=float)
-        if f_next.shape != (n,):
-            f_next = np.broadcast_to(f_next, (n,)).astype(float)
-        if not np.all(np.isfinite(f_next)):
-            raise ValidationError([("strategy", "nonfinite_weight",
-                                    f"strategy produced non-finite weights at t={t_next}")])
-        f_next = np.where(active, f_next, 0.0)
-        d_shares = rebalance_delta(f_next, f, pi, x[:, i], x[:, i + 1], omega)
+    wealth = np.empty((n, S + 1))
+    wealth[:, 0] = pi0
+    factor = wealth[:, 1:]
+    factor[:] = growth
+    factor[:, :S - 1] -= cost_unit
+    # frozen[:, i]: the path went bankrupt on or before the move i -> i+1; its
+    # wealth stays at the last positive value and it trades no more
+    frozen = np.logical_or.accumulate(factor <= 0.0, axis=1)
+    factor[frozen] = 1.0
+    np.cumprod(wealth, axis=1, out=wealth)
 
-        if frictionless:
-            nxt = pi_pre
-            trade_cost = None
-        else:
-            trade_cost = omega * np.abs(d_shares) * np.exp(x[:, i + 1])
-            nxt = pi_pre - trade_cost
-
-        newly = active & (nxt <= 0.0)
-        if newly.any():
-            nxt = np.where(newly, pi, nxt)
-            f_next = np.where(newly, 0.0, f_next)
-            d_shares = np.where(newly, 0.0, d_shares)
-            bankrupt |= newly
-            active &= ~newly
-        wealth[:, i + 1] = nxt
-        weights[:, i + 1] = f_next
-        delta[:, i + 1] = d_shares
-        if trade_cost is not None:
-            cost += np.where(bankrupt, 0.0, trade_cost)
+    # no trade from the bankrupting day on
+    after = frozen[:, :S - 1]
+    cost_unit *= wealth[:, :S - 1]
+    cost_unit[after] = 0.0
+    delta = np.zeros((n, S + 1))
+    np.multiply(wealth[:, :S - 1], d_unit, out=delta[:, 1:S])
+    delta[:, 1:S][after] = 0.0
+    weights[:, 1:][after] = 0.0
+    growth[:, 1:][after] = 1.0
+    pre_wealth = np.multiply(wealth[:, :S], growth, out=growth)
 
     return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
-                        delta=delta, cost=cost, bankrupt=bankrupt,
-                        dt=bundle.dt, omega=omega, pi0=pi0, x0=bundle.x0,
-                        strategy_name=strategy.name)
+                        delta=delta, cost=cost_unit.sum(axis=1),
+                        bankrupt=frozen[:, -1].copy(), dt=bundle.dt, omega=omega,
+                        pi0=pi0, x0=bundle.x0, strategy_name=strategy.name)
 
 
 def self_financing_residuals(ledger: WealthLedger, bundle: PathBundle):

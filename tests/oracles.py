@@ -4,7 +4,8 @@ These deliberately avoid the package's own closed forms and its simulator
 internals: the OU oracle advances the drift by its exact one-step
 transition and the signal by its exact conditionally-Gaussian step (drift
 frozen within a step); the chain oracles draw exact exponential jump times
-with a single shared generator and active-path rounds.
+with a single shared generator and active-path rounds. The reference
+ledger is the day-by-day wealth loop that `run_strategy` vectorises.
 """
 
 from __future__ import annotations
@@ -127,3 +128,59 @@ def mc_log_growth(params, strategy, horizon, n_paths, dt, seed, chunk=200, omega
         ledger = xl.run_strategy(bundle, strategy, omega)
         vals.append(np.log(ledger.wealth[:, -1] / ledger.pi0) / horizon)
     return np.concatenate(vals)[:n_paths]
+
+
+def reference_ledger(bundle, strategy, omega):
+    """Day-by-day self-financing ledger: one strategy call and one
+    share-change solve per day, each path frozen once its wealth would
+    drop to <= 0. The reference `run_strategy` is compared against."""
+    import expma_lab as xl
+
+    n, S = bundle.n_paths, bundle.n_steps
+    x, z = bundle.x, bundle.z
+    wealth = np.empty((n, S + 1))
+    pre_wealth = np.empty((n, S))
+    weights = np.empty((n, S))
+    delta = np.zeros((n, S + 1))
+    cost = np.zeros(n)
+    bankrupt = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    wealth[:, 0] = bundle.pi0
+    weights[:, 0] = 1.0
+
+    for i in range(S):
+        pi = wealth[:, i]
+        f = weights[:, i]
+        ex = np.exp(x[:, i + 1] - x[:, i])
+        pi_pre = pi * (1.0 - f + f * ex)
+        pre_wealth[:, i] = pi_pre
+
+        if i + 1 == S:
+            newly = active & (pi_pre <= 0.0)
+            wealth[:, S] = np.where(newly, pi, pi_pre)
+            bankrupt |= newly
+            break
+
+        f_next = np.broadcast_to(
+            np.asarray(strategy.weights((i + 1) * bundle.dt, z[:, i + 1]), dtype=float),
+            (n,))
+        f_next = np.where(active, f_next, 0.0)
+        d_shares = xl.rebalance_delta(f_next, f, pi, x[:, i], x[:, i + 1], omega)
+        trade_cost = omega * np.abs(d_shares) * np.exp(x[:, i + 1])
+        nxt = pi_pre - trade_cost
+
+        newly = active & (nxt <= 0.0)
+        nxt = np.where(newly, pi, nxt)
+        f_next = np.where(newly, 0.0, f_next)
+        d_shares = np.where(newly, 0.0, d_shares)
+        bankrupt |= newly
+        active &= ~newly
+        wealth[:, i + 1] = nxt
+        weights[:, i + 1] = f_next
+        delta[:, i + 1] = d_shares
+        cost += np.where(bankrupt, 0.0, trade_cost)
+
+    return xl.WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
+                           delta=delta, cost=cost, bankrupt=bankrupt,
+                           dt=bundle.dt, omega=omega, pi0=bundle.pi0, x0=bundle.x0,
+                           strategy_name=strategy.name)

@@ -244,6 +244,37 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["signal", "--config", sig]) == 2
 
 
+@pytest.mark.parametrize("section, field, value, code", [
+    ("sim", "horizon_months", 0.01, "n_steps_too_small"),
+    ("sim", "horizon_months", math.inf, "nonfinite_horizon"),
+    ("sim", "x0", math.nan, "nonfinite_x0"),
+    ("drift", "mu_bar", math.nan, "nonfinite_mu_bar"),
+    ("drift", "m1_0", math.inf, "nonfinite_m1_0"),
+])
+def test_cli_rejects_invalid_values_by_code(tmp_path, capsys, section, field, value, code):
+    d = config_dict()
+    (d["sim"] if section == "sim" else d["params"]["drift"])[field] = value
+    cfg = write_config(tmp_path, d)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"[{code}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["2020-01-02,abc", "2020-01-02,", "2020-01-02"])
+def test_cli_signal_rejects_bad_or_missing_close(tmp_path, capsys, row):
+    prices = tmp_path / "prices.csv"
+    prices.write_text(f"date,close\n2020-01-01,100.0\n{row}\n2020-01-03,101.0\n")
+    cfg = write_config(tmp_path, config_dict(experiment="signal", signal_input=str(prices)))
+    assert cli_main(["signal", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "is not a number" in capsys.readouterr().err
+
+
+def test_cli_non_integer_threads_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, config_dict(n_paths=20))
+    monkeypatch.setenv("EXPMA_THREADS", "two")
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "EXPMA_THREADS" in capsys.readouterr().err
+
+
 def test_cli_numeric_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, config_dict(experiment="growth_rates"))
 

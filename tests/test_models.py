@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expma_lab import (CTMC2Drift, ConstantAffine, ModelParams, OUDrift,
-                       SimConfig, ValidationError, period_to_lambda, validate,
-                       validate_sim)
+                       SimConfig, TimeVaryingAffine, ValidationError,
+                       period_to_lambda, validate, validate_sim)
 
 
 def test_benchmark_params_accepted(benchmark_params):
@@ -112,3 +112,19 @@ def test_constant_affine_rejects_nonfinite():
         ConstantAffine(a=float("nan"), b=1.0)
     s = ConstantAffine(a=2.0, b=1.0)
     np.testing.assert_allclose(s.weights(0.0, np.array([0.0, 1.0])), [1.0, 3.0])
+
+
+def test_time_varying_affine_array_t():
+    """An array t aligned with the time axis of z gives, column by column,
+    the weights of scalar t; a non-finite coefficient anywhere is rejected."""
+    s = TimeVaryingAffine(lambda t: (np.asarray(t) + 1.0, 2.0 * np.asarray(t)))
+    t = np.array([0.5, 1.0, 1.5])
+    z = np.arange(6.0).reshape(2, 3)
+    grid = s.weights(t, z)
+    for j in range(t.size):
+        assert np.array_equal(grid[:, j], s.weights(float(t[j]), z[:, j]))
+    bad = TimeVaryingAffine(lambda t: (np.where(np.asarray(t) > 1.2, np.nan, 1.0), 0.0))
+    with pytest.raises(ValidationError) as exc:
+        bad.weights(t, z)
+    assert exc.value.codes == ["nonfinite_coefficients"]
+    assert "t=1.5" in str(exc.value)

@@ -229,8 +229,11 @@ def test_gradient_vanishes_at_optimum(params, T):
     sig = params.sigma
     ab = ou_abcd(params, T)
     a, b = optimal_affine_from_abcd(ab, T, sig)
-    h = 1e-6
-    ga = (affine_objective(ab, T, sig, a + h, b) - affine_objective(ab, T, sig, a - h, b)) / (2 * h)
+    # The central difference of a quadratic is exact for any step, so the only
+    # error is rounding, about eps*|g|/h; a step scaled to the optimum keeps it
+    # far below the tolerance when |a|, |b| (and so |g|) are large.
+    h = 1e-6 * max(1.0, abs(a), abs(b))
+    ga =(affine_objective(ab, T, sig, a + h, b) - affine_objective(ab, T, sig, a - h, b)) / (2 * h)
     gb = (affine_objective(ab, T, sig, a, b + h) - affine_objective(ab, T, sig, a, b - h)) / (2 * h)
     scale = abs(ab.A) + abs(ab.B)
     assert abs(ga) <= 1e-6 * scale + 1e-12

@@ -10,6 +10,7 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        ModelParams, OUDrift, ResourceLimitError, SimConfig,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
+from oracles import reference_ledger
 
 
 def small_config(**kw):
@@ -253,3 +254,41 @@ def test_strategies_receive_common_paths(benchmark_params):
     assert l1.n_paths == l2.n_paths
     # identical first-day pre-rebalance wealth: both start from one share
     assert np.array_equal(l1.pre_wealth[:, 0], l2.pre_wealth[:, 0])
+
+
+# --- whole-grid ledger vs the day-by-day reference ---------------------------------
+
+@pytest.fixture(scope="module")
+def ledger_cases(benchmark_params, ctmc_gentle_params):
+    ou = simulate_paths(benchmark_params, small_config(n_paths=100, horizon_months=24.0))
+    panel = dict(xl.build_strategies(benchmark_params, 24.0))
+    gentle = simulate_paths(ctmc_gentle_params, small_config(n_paths=100, horizon_months=12.0))
+    # the 40x-leverage bundle of test_bankruptcy_freeze: paths freeze on many different days
+    lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
+    return {
+        "ou_constant": (ou, panel["growth"]),
+        "ou_time_varying": (ou, panel["utility_c2"]),
+        "ctmc_filter": (gentle, xl.filter_strategy(ctmc_gentle_params)),
+        "bankruptcy": (simulate_paths(lev, SimConfig(horizon_months=12.0, n_paths=64, seed=3)),
+                       ConstantAffine(0.0, 40.0)),
+    }
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.001, 0.01])
+@pytest.mark.parametrize("case", ["ou_constant", "ou_time_varying", "ctmc_filter", "bankruptcy"])
+def test_ledger_matches_reference_loop(ledger_cases, case, omega):
+    bundle, strat = ledger_cases[case]
+    led = run_strategy(bundle, strat, omega)
+    ref = reference_ledger(bundle, strat, omega)
+    assert np.array_equal(led.bankrupt, ref.bankrupt)
+    assert np.array_equal(led.weights, ref.weights)
+    if omega == 0.0:
+        assert np.array_equal(led.wealth, ref.wealth)
+    else:
+        assert np.max(np.abs(led.wealth - ref.wealth) / ref.wealth) <= 1e-12
+    np.testing.assert_allclose(led.pre_wealth, ref.pre_wealth, rtol=1e-12, atol=0.0)
+    for mine, theirs in ((led.delta, ref.delta), (led.cost, ref.cost)):
+        np.testing.assert_allclose(mine, theirs, rtol=0.0,
+                                   atol=1e-12 * max(np.abs(theirs).max(), 1e-300))
+    r1, r2 = self_financing_residuals(led, bundle)
+    assert r1 <= 1e-10 and r2 <= 1e-10
