@@ -62,9 +62,9 @@ def compute_metrics(ledger: WealthLedger, config: SimConfig | None = None) -> Me
     total_return = float(total.mean())
     se_total = float(total.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
-    ok = ~ledger.bankrupt
     bankrupt_count = int(ledger.bankrupt.sum())
-    w_ok = ledger.wealth[ok]
+    # a boolean index copies the whole grid; skip it when it would keep every path
+    w_ok = ledger.wealth[~ledger.bankrupt] if bankrupt_count else ledger.wealth
     daily = w_ok[:, 1:] / w_ok[:, :-1] - 1.0
     pooled = daily.ravel()
     n_pooled = pooled.size

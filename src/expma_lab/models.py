@@ -266,35 +266,42 @@ def validate(params: ModelParams) -> ModelParams:
     their own codes (``kappa_equals_lambda``, ``lambda_equals_alpha_plus_beta``).
     """
     v: list[tuple[str, str, str]] = []
-    if not (params.sigma > 0):
-        v.append(("sigma", "nonpositive_sigma", f"sigma must be > 0, got {params.sigma}"))
-    if not (params.lam > 0):
-        v.append(("lambda", "nonpositive_lambda", f"lambda must be > 0, got {params.lam}"))
+
+    def positive(field: str, name: str, value: float) -> None:
+        # NaN and -inf fail the sign test; +inf passes it and is caught here
+        if not (value > 0):
+            v.append((field, f"nonpositive_{name}", f"{name} must be > 0, got {value}"))
+        elif not math.isfinite(value):
+            v.append((field, f"nonfinite_{name}", f"{name} must be finite, got {value}"))
+
+    def finite(field: str, name: str, value: float) -> None:
+        if not math.isfinite(value):
+            v.append((field, f"nonfinite_{name}", f"{name} must be finite, got {value}"))
+
+    positive("sigma", "sigma", params.sigma)
+    positive("lambda", "lambda", params.lam)
 
     d = params.drift
     if isinstance(d, OUDrift):
-        if not math.isfinite(d.mu_bar):
-            v.append(("drift.mu_bar", "nonfinite_mu_bar",
-                      f"mu_bar must be finite, got {d.mu_bar}"))
-        if not math.isfinite(d.m1_0):
-            v.append(("drift.m1_0", "nonfinite_m1_0", f"m1_0 must be finite, got {d.m1_0}"))
-        if not (d.kappa > 0):
-            v.append(("drift.kappa", "nonpositive_kappa", f"kappa must be > 0, got {d.kappa}"))
-        if not (d.delta > 0):
-            v.append(("drift.delta", "nonpositive_delta", f"delta must be > 0, got {d.delta}"))
+        finite("drift.mu_bar", "mu_bar", d.mu_bar)
+        finite("drift.m1_0", "m1_0", d.m1_0)
+        positive("drift.kappa", "kappa", d.kappa)
+        positive("drift.delta", "delta", d.delta)
         if d.v1_0 is None or not (d.v1_0 >= 0):
             v.append(("drift.v1_0", "negative_initial_variance",
                       f"v1_0 must be >= 0, got {d.v1_0}"))
+        else:
+            finite("drift.v1_0", "v1_0", d.v1_0)
         if d.kappa == params.lam:
             v.append(("drift.kappa", "kappa_equals_lambda",
                       "kappa = lambda is excluded (moment formulas are singular there)"))
     elif isinstance(d, CTMC2Drift):
+        finite("drift.rho1", "rho1", d.rho1)
+        finite("drift.rho2", "rho2", d.rho2)
         if not (d.rho1 < d.rho2):
             v.append(("drift.rho1", "rho_order", f"require rho1 < rho2, got {d.rho1} >= {d.rho2}"))
-        if not (d.alpha > 0):
-            v.append(("drift.alpha", "nonpositive_alpha", f"alpha must be > 0, got {d.alpha}"))
-        if not (d.beta > 0):
-            v.append(("drift.beta", "nonpositive_beta", f"beta must be > 0, got {d.beta}"))
+        positive("drift.alpha", "alpha", d.alpha)
+        positive("drift.beta", "beta", d.beta)
         if abs(params.lam - (d.alpha + d.beta)) < LAMBDA_AB_GUARD:
             v.append(("lambda", "lambda_equals_alpha_plus_beta",
                       "lambda = alpha + beta is excluded (second moment is singular there)"))
@@ -327,6 +334,10 @@ def validate_sim(config: SimConfig) -> SimConfig:
         v.append(("omega", "omega_out_of_range", f"omega must be in [0, 1), got {config.omega}"))
     if not math.isfinite(config.x0):
         v.append(("x0", "nonfinite_x0", f"x0 must be finite, got {config.x0}"))
+    if not (config.pi0 > 0):
+        v.append(("pi0", "nonpositive_pi0", f"initial wealth must be > 0, got {config.pi0}"))
+    elif not math.isfinite(config.pi0):
+        v.append(("pi0", "nonfinite_pi0", f"initial wealth must be finite, got {config.pi0}"))
     if v:
         raise ValidationError(v)
     return config

@@ -10,7 +10,9 @@ with the Markov drift simulated by exact exponential holding times and the
 X increment integrating the piecewise-constant drift exactly across jumps
 inside a step. Every path draws from its own counter-based substream keyed
 (seed, path index), so ensembles are bit-identical for any chunking or
-worker count.
+worker count. The OU recursion runs on time-major tiles and the wealth
+ledger on blocks of paths, each sized to stay in cache; every operation is
+elementwise or along one path, so neither size changes a bit of the result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -45,6 +47,11 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy, validate, validate_sim)
 
 MAX_ELEMENTS = 40_000_000  # n_paths * (n_steps + 1) bound per bundle (~1.3 GB of arrays)
+# Target bytes per array in one row block of the wealth ledger, small enough
+# for the block's dozen temporaries to stay in cache; at least one path per block.
+LEDGER_BLOCK_BYTES = 256 * 1024
+# Target bytes per time-major tile of the OU path recursion.
+FILL_TILE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,34 +103,52 @@ def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     index & 0xFFFFFFFFFFFFFFFF]))
+def _path_rngs(seed: int, first: int, count: int):
+    """The generators of paths first, ..., first+count-1, in turn.
+
+    Path p draws from a Philox keyed (seed, p) with its counter at 0. One
+    Philox serves them all: setting its key, counter and buffer to those
+    of a fresh generator gives exactly the fresh generator's stream.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    g = np.random.Generator(np.random.Philox(key=[seed & mask, 0]))
+    fresh = g.bit_generator.state
+    for p in range(first, first + count):
+        fresh["state"]["key"][1] = p & mask
+        g.bit_generator.state = fresh
+        yield g
 
 
 def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
              sl: slice, x, y, mu) -> None:
     d: OUDrift = params.drift
     n_steps = config.n_steps
-    lo, hi = sl.start, sl.stop
-    m = hi - lo
-    zs = np.empty((m, n_steps), dtype=float)
-    zbars = np.empty((m, n_steps), dtype=float)
-    mu0 = np.empty(m, dtype=float)
-    for j in range(m):
-        g = _path_rng(config.seed, offset + lo + j)
-        mu0[j] = g.standard_normal()
-        pair = g.standard_normal((n_steps, 2))
-        zs[j] = pair[:, 0]
-        zbars[j] = pair[:, 1]
+    m = sl.stop - sl.start
+    # path j draws mu_0, then (z, zbar) for each step, in that order
+    draws = np.empty((m, 1 + 2 * n_steps))
+    for row, g in zip(draws, _path_rngs(config.seed, offset + sl.start, m)):
+        g.standard_normal(out=row)
 
     dt, sig = config.dt, params.sigma
     sq = math.sqrt(dt)
-    x[sl, 0] = config.x0
-    mu[sl, 0] = d.m1_0 + math.sqrt(d.v1_0) * mu0
-    for i in range(n_steps):
-        x[sl, i + 1] = x[sl, i] + (mu[sl, i] - 0.5 * sig**2) * dt + sig * sq * zs[:, i]
-        mu[sl, i + 1] = mu[sl, i] + d.kappa * (d.mu_bar - mu[sl, i]) * dt + d.delta * sq * zbars[:, i]
+    # the recursion runs on time-major tiles of the block, so every step reads
+    # and writes contiguous rows; row 0 of a tile carries the previous step
+    tile = min(n_steps, max(1, FILL_TILE_BYTES // (8 * m)))
+    x_t = np.empty((tile + 1, m))
+    mu_t = np.empty_like(x_t)
+    x_t[0] = config.x0
+    mu_t[0] = d.m1_0 + math.sqrt(d.v1_0) * draws[:, 0]
+    x[sl, 0], mu[sl, 0] = x_t[0], mu_t[0]
+    for lo in range(0, n_steps, tile):
+        k = min(tile, n_steps - lo)
+        noise = draws[:, 1 + 2 * lo:1 + 2 * (lo + k)].T.copy()
+        zs, zbars = noise[0::2], noise[1::2]
+        for i in range(k):
+            x_t[i + 1] = x_t[i] + (mu_t[i] - 0.5 * sig**2) * dt + sig * sq * zs[i]
+            mu_t[i + 1] = mu_t[i] + d.kappa * (d.mu_bar - mu_t[i]) * dt + d.delta * sq * zbars[i]
+        x[sl, lo + 1:lo + k + 1] = x_t[1:k + 1].T
+        mu[sl, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
+        x_t[0], mu_t[0] = x_t[k], mu_t[k]
     expma(x[sl], params.lam, dt, out=y[sl])
 
 
@@ -153,9 +178,8 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     p_high = d.alpha / (d.alpha + d.beta)
     bounds = np.arange(n_steps + 1) * dt
 
-    lo, hi = sl.start, sl.stop
-    for j in range(hi - lo):
-        g = _path_rng(config.seed, offset + lo + j)
+    lo = sl.start
+    for j, g in enumerate(_path_rngs(config.seed, offset + lo, sl.stop - lo)):
         start_high = g.random() < p_high
         jumps = _ctmc_jump_times(g, start_high, d.alpha, d.beta, horizon)
         zs = g.standard_normal(n_steps)
@@ -271,17 +295,23 @@ def rebalance_delta(f_next, f_cur, pi_cur, x_cur, x_next, omega: float):
     sign-consistent solution. Raises LeverageCostSingularityError when the
     applicable 1 +/- omega*f_next denominator is numerically zero.
     """
+    x_next = np.asarray(x_next, dtype=float)
+    return _share_change(f_next, f_cur, pi_cur, np.exp(x_next - np.asarray(x_cur, dtype=float)),
+                         np.exp(x_next), omega)
+
+
+def _share_change(f_next, f_cur, pi_cur, ex, e_next, omega: float):
+    """`rebalance_delta` given ex = e^{x_next - x_cur} and e_next = e^{x_next}."""
     f_next = np.asarray(f_next, dtype=float)
     f_cur = np.asarray(f_cur, dtype=float)
     pi_cur = np.asarray(pi_cur, dtype=float)
-    ex = np.exp(np.asarray(x_next, dtype=float) - np.asarray(x_cur, dtype=float))
     pi_pre = pi_cur * (1.0 - f_cur + f_cur * ex)
     numer = f_next * pi_pre - f_cur * pi_cur * ex
     den = np.where(numer >= 0.0, 1.0 + omega * f_next, 1.0 - omega * f_next)
     if np.any(np.abs(den) < 1e-10):
         raise LeverageCostSingularityError(
             "1 +/- omega*f_next vanished; share-change equation singular")
-    return numer / (den * np.exp(np.asarray(x_next, dtype=float)))
+    return numer / (den * e_next)
 
 
 def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
@@ -324,15 +354,38 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
         raise ValidationError([("strategy", "nonfinite_weight",
                                 f"strategy produced non-finite weights at t={t_bad}")])
 
+    wealth = np.empty((n, S + 1))
+    pre_wealth = np.empty((n, S))
+    delta = np.zeros((n, S + 1))
+    cost = np.empty(n)
+    bankrupt = np.empty(n, dtype=bool)
+    # every step below is elementwise or along one path, so any row blocking
+    # gives the same bits; a block small enough to stay in cache avoids
+    # streaming a dozen grid-sized temporaries through memory
+    rows = max(1, LEDGER_BLOCK_BYTES // (8 * (S + 1)))
+    for lo in range(0, n, rows):
+        b = slice(lo, lo + rows)
+        _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
+                      delta[b], cost[b], bankrupt[b])
+
+    return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
+                        delta=delta, cost=cost, bankrupt=bankrupt, dt=bundle.dt,
+                        omega=omega, pi0=pi0, x0=bundle.x0, strategy_name=strategy.name)
+
+
+def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt):
+    """Ledger of one block of paths, written into the block's ledger views;
+    zeroes `weights` from each path's bankrupting day on."""
+    S = weights.shape[1]
     # share change and cost per unit of wealth for the trade on day i+1
-    d_unit = rebalance_delta(weights[:, 1:], weights[:, :-1], 1.0,
-                             x[:, :S - 1], x[:, 1:S], omega)
-    cost_unit = omega * np.abs(d_unit) * np.exp(x[:, 1:S])
+    ex = np.exp(np.diff(x, axis=1))
+    e_next = np.exp(x[:, 1:S])
+    d_unit = _share_change(weights[:, 1:], weights[:, :-1], 1.0, ex[:, :S - 1], e_next, omega)
+    cost_unit = omega * np.abs(d_unit) * e_next
 
     # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i
-    growth = 1.0 - weights + weights * np.exp(np.diff(x, axis=1))
+    growth = 1.0 - weights + weights * ex
 
-    wealth = np.empty((n, S + 1))
     wealth[:, 0] = pi0
     factor = wealth[:, 1:]
     factor[:] = growth
@@ -347,17 +400,13 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     after = frozen[:, :S - 1]
     cost_unit *= wealth[:, :S - 1]
     cost_unit[after] = 0.0
-    delta = np.zeros((n, S + 1))
     np.multiply(wealth[:, :S - 1], d_unit, out=delta[:, 1:S])
     delta[:, 1:S][after] = 0.0
     weights[:, 1:][after] = 0.0
     growth[:, 1:][after] = 1.0
-    pre_wealth = np.multiply(wealth[:, :S], growth, out=growth)
-
-    return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
-                        delta=delta, cost=cost_unit.sum(axis=1),
-                        bankrupt=frozen[:, -1].copy(), dt=bundle.dt, omega=omega,
-                        pi0=pi0, x0=bundle.x0, strategy_name=strategy.name)
+    np.multiply(wealth[:, :S], growth, out=pre_wealth)
+    cost[:] = cost_unit.sum(axis=1)
+    bankrupt[:] = frozen[:, -1]
 
 
 def self_financing_residuals(ledger: WealthLedger, bundle: PathBundle):

@@ -130,6 +130,38 @@ def mc_log_growth(params, strategy, horizon, n_paths, dt, seed, chunk=200, omega
     return np.concatenate(vals)[:n_paths]
 
 
+def ou_paths_per_path_rng(params, config, path_offset=0):
+    """(x, y, mu) of an OU bundle the plain way: a fresh Philox generator per
+    path keyed (seed, path), one scalar draw for mu_0 and then the (z, zbar)
+    pairs, and the day-by-day recursion over path-major arrays."""
+    d = params.drift
+    n, S = config.n_paths, config.n_steps
+    dt, sig, lam = config.dt, params.sigma, params.lam
+    sq = math.sqrt(dt)
+    mask = 0xFFFFFFFFFFFFFFFF
+    mu0 = np.empty(n)
+    zs = np.empty((n, S))
+    zbars = np.empty((n, S))
+    for j in range(n):
+        g = np.random.Generator(np.random.Philox(key=[config.seed & mask,
+                                                      (path_offset + j) & mask]))
+        mu0[j] = g.standard_normal()
+        pair = g.standard_normal((S, 2))
+        zs[j], zbars[j] = pair[:, 0], pair[:, 1]
+
+    x = np.empty((n, S + 1))
+    y = np.empty_like(x)
+    mu = np.empty_like(x)
+    x[:, 0] = config.x0
+    y[:, 0] = 0.0
+    mu[:, 0] = d.m1_0 + math.sqrt(d.v1_0) * mu0
+    for i in range(S):
+        x[:, i + 1] = x[:, i] + (mu[:, i] - 0.5 * sig**2) * dt + sig * sq * zs[:, i]
+        mu[:, i + 1] = mu[:, i] + d.kappa * (d.mu_bar - mu[:, i]) * dt + d.delta * sq * zbars[:, i]
+        y[:, i + 1] = y[:, i] + lam * (x[:, i] - y[:, i]) * dt
+    return x, y, mu
+
+
 def reference_ledger(bundle, strategy, omega):
     """Day-by-day self-financing ledger: one strategy call and one
     share-change solve per day, each path frozen once its wealth would

@@ -250,10 +250,26 @@ def test_cli_exit_codes(tmp_path):
     ("sim", "x0", math.nan, "nonfinite_x0"),
     ("drift", "mu_bar", math.nan, "nonfinite_mu_bar"),
     ("drift", "m1_0", math.inf, "nonfinite_m1_0"),
+    ("sim", "pi0", math.inf, "nonfinite_pi0"),
+    ("sim", "pi0", 0.0, "nonpositive_pi0"),
+    ("sim", "pi0", -1.0, "nonpositive_pi0"),
+    ("params", "sigma", math.inf, "nonfinite_sigma"),
+    ("params", "lambda", math.inf, "nonfinite_lambda"),
+    ("drift", "kappa", math.inf, "nonfinite_kappa"),
+    ("drift", "v1_0", math.inf, "nonfinite_v1_0"),
+    ("drift", "delta", math.inf, "nonfinite_delta"),
+    ("ctmc", "rho1", -math.inf, "nonfinite_rho1"),
+    ("ctmc", "rho2", math.inf, "nonfinite_rho2"),
+    ("ctmc", "alpha", math.inf, "nonfinite_alpha"),
+    ("ctmc", "beta", math.inf, "nonfinite_beta"),
 ])
 def test_cli_rejects_invalid_values_by_code(tmp_path, capsys, section, field, value, code):
     d = config_dict()
-    (d["sim"] if section == "sim" else d["params"]["drift"])[field] = value
+    if section == "ctmc":
+        d["params"]["drift"] = {"type": "ctmc2", "rho1": -0.2, "rho2": 0.3,
+                                "alpha": 1.0, "beta": 1.0}
+        d["params"]["lambda"] = 2.5
+    {"sim": d["sim"], "params": d["params"]}.get(section, d["params"]["drift"])[field] = value
     cfg = write_config(tmp_path, d)
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"[{code}]" in capsys.readouterr().err

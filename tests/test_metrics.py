@@ -65,6 +65,24 @@ def test_bankrupt_paths_split():
     assert m.avg_daily_return == pytest.approx(0.1, rel=1e-12)
 
 
+def test_pooled_fields_ignore_bankrupt_rows_bitwise(benchmark_params):
+    """Without bankrupt paths the wealth grid is pooled as it stands; with one,
+    its non-bankrupt rows are. Both must give the same bits."""
+    cfg = SimConfig(horizon_months=6.0, n_paths=50, seed=11)
+    led = run_strategy(simulate_paths(benchmark_params, cfg),
+                       ConstantAffine(*growth_limit_affine(benchmark_params)), 0.0)
+    assert not led.bankrupt.any()
+    frozen = np.full((1, led.n_steps + 1), 0.5)
+    frozen[0, 0] = 1.0
+    with_bankrupt = ledger_from_wealth(np.vstack([led.wealth[:20], frozen, led.wealth[20:]]),
+                                       bankrupt=[False] * 20 + [True] + [False] * 30)
+    m_all, m_split = compute_metrics(led), compute_metrics(with_bankrupt)
+    assert m_split.bankrupt_count == 1 and m_all.bankrupt_count == 0
+    for field in ("avg_daily_return", "sharpe_daily", "sharpe_per_path", "se_avg_daily_return",
+                  "se_sharpe", "n_days_pooled"):
+        assert getattr(m_all, field) == getattr(m_split, field), field
+
+
 def test_shape_cross_check(benchmark_params):
     cfg = SimConfig(horizon_months=3.0, n_paths=8, seed=1)
     b = simulate_paths(benchmark_params, cfg)

@@ -10,7 +10,7 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        ModelParams, OUDrift, ResourceLimitError, SimConfig,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
-from oracles import reference_ledger
+from oracles import ou_paths_per_path_rng, reference_ledger
 
 
 def small_config(**kw):
@@ -46,6 +46,22 @@ def test_worker_count_irrelevant(benchmark_params, ctmc_params):
         b4 = simulate_paths(params, cfg, workers=4)
         assert np.array_equal(b1.x, b4.x)
         assert np.array_equal(b1.mu, b4.mu)
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 8 * 256 * 7, 1 << 40])
+def test_ou_fill_matches_per_path_generators(benchmark_params, monkeypatch, tile_bytes):
+    """The fill reuses one generator per block and runs the recursion on
+    time-major tiles (1 step, 7 steps for the 256-path block, the whole
+    horizon); a fresh generator per path and a path-major loop give the
+    same bits."""
+    monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES", tile_bytes)
+    cfg = small_config(n_paths=300, horizon_months=3.0, x0=0.25)
+    b = simulate_paths(benchmark_params, cfg, path_offset=1000)
+    x, y, mu = ou_paths_per_path_rng(benchmark_params, cfg, path_offset=1000)
+    assert np.array_equal(b.x, x)
+    assert np.array_equal(b.y, y)
+    assert np.array_equal(b.mu, mu)
+    assert np.array_equal(b.z, x - y)
 
 
 def test_bundle_invariants(benchmark_params, ctmc_params):
@@ -292,3 +308,29 @@ def test_ledger_matches_reference_loop(ledger_cases, case, omega):
                                    atol=1e-12 * max(np.abs(theirs).max(), 1e-300))
     r1, r2 = self_financing_residuals(led, bundle)
     assert r1 <= 1e-10 and r2 <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.01])
+def test_ledger_block_size_invariant(monkeypatch, omega):
+    """One path per block, three (odd) and the whole grid give the same
+    bits in every ledger field, with bankrupt paths in rows 2 and 3, either
+    side of the first edge of three-path blocks."""
+    lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
+    b = simulate_paths(lev, SimConfig(horizon_months=12.0, n_paths=64, seed=3))
+    strat = ConstantAffine(0.0, 5.0)
+    broke = run_strategy(b, strat, omega).bankrupt
+    assert 2 <= broke.sum() <= 60
+    ok_rows, broke_rows = np.flatnonzero(~broke), np.flatnonzero(broke)
+    order = np.concatenate([ok_rows[:2], broke_rows, ok_rows[2:]])
+    b = dataclasses.replace(b, x=b.x[order], y=b.y[order], z=b.z[order], mu=b.mu[order])
+
+    row_bytes = 8 * (b.n_steps + 1)
+    ledgers = []
+    for rows in (1, 3, b.n_paths):
+        monkeypatch.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", rows * row_bytes)
+        ledgers.append(run_strategy(b, strat, omega))
+    assert ledgers[0].bankrupt[2] and ledgers[0].bankrupt[3]
+    assert not ledgers[0].bankrupt[1] and not ledgers[0].bankrupt[-1]
+    for led in ledgers[:2]:
+        for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
+            assert np.array_equal(getattr(led, field), getattr(ledgers[-1], field)), field
