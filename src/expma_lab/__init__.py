@@ -28,9 +28,9 @@ from .models import (BuyAndHold, ConstantAffine, CTMC2Drift, ModelParams,
 from .ou import (ABCD, A2_CONVERGENCE_RTOL, B2_CONVERGENCE_RTOL,
                  OUCoefficients, OUMomentSet, ValueFunctions,
                  affine_objective, convergence_day, eta, eta_upper_bound,
-                 growth_limit_affine, hat_lambda, optimal_affine_from_abcd,
-                 optimal_c2_coefficients, optimal_utility_affine, ou_abcd,
-                 ou_moments, value_functions)
+                 full_information_rate, growth_limit_affine, hat_lambda,
+                 optimal_affine_from_abcd, optimal_c2_coefficients,
+                 optimal_utility_affine, ou_abcd, ou_moments, value_functions)
 from .regime_filter import (QDecomposition, StationaryLaw, UVGrid,
                             conditional_densities, filter_expectation,
                             filter_strategy, g_infinity, gamma_fn,

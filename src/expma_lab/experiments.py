@@ -329,7 +329,7 @@ def _run_growth_rates(config: ExperimentConfig, md: dict) -> ReportSet:
     if p.is_ou:
         extras = {
             "eta": ou_mod.eta(p),
-            "xi": ou_mod.value_functions(p, max(config.sim.horizon_months, 1.0)).xi,
+            "xi": ou_mod.full_information_rate(p),
             "price_filtration_rate": p.drift.mu_bar**2 / (2.0 * p.sigma**2),
             "hat_lambda": ou_mod.hat_lambda(p),
             "eta_at_hat_lambda": ou_mod.eta(p, ou_mod.hat_lambda(p)),

@@ -21,6 +21,12 @@ DEFAULT_DT = 1.0 / TRADING_DAYS_PER_MONTH
 # Near-equality guard for the CTMC technical condition lambda != alpha + beta:
 # closer than this the n4 difference quotients are numerically meaningless.
 LAMBDA_AB_GUARD = 1e-8
+# Relative near-equality guard for the OU technical condition kappa != lambda.
+# The OU coefficients divide by (kappa - lambda)^2. With lambda = 2, delta =
+# 0.05, mu_bar = 0.01, m1_0 = 0, v1_0 = 0.001, sigma = 0.0436 and T = 24, the
+# exact-integral slope a1 is off by 4.6e-9 relative at |kappa - lambda| =
+# 1e-5 lambda, 1.4e-6 at 1e-6 lambda and 1.6e-2 at 1e-8 lambda.
+KAPPA_LAMBDA_GUARD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -292,9 +298,10 @@ def validate(params: ModelParams) -> ModelParams:
                       f"v1_0 must be >= 0, got {d.v1_0}"))
         else:
             finite("drift.v1_0", "v1_0", d.v1_0)
-        if d.kappa == params.lam:
+        if abs(d.kappa - params.lam) < KAPPA_LAMBDA_GUARD * params.lam:
             v.append(("drift.kappa", "kappa_equals_lambda",
-                      "kappa = lambda is excluded (moment formulas are singular there)"))
+                      "kappa = lambda is excluded (moment formulas are singular there); "
+                      f"|kappa - lambda| must be >= {KAPPA_LAMBDA_GUARD:g} * lambda"))
     elif isinstance(d, CTMC2Drift):
         finite("drift.rho1", "rho1", d.rho1)
         finite("drift.rho2", "rho2", d.rho2)

@@ -16,6 +16,10 @@ All five moments are finite sums of decaying exponentials, so A..D are exact
 linear system in (A, B, C, D); the best unrestricted square-integrable weight
 is a2*(t) z + b2*(t) below, still affine, with the long-run limit (a_inf,
 b_inf) and growth rate eta(lambda).
+
+`scipy.integrate` is imported inside `value_functions`, the one function
+that calls it: it takes longer to load than most CLI calls take to run, and
+no CLI call needs it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._expsum import ExpSum
 from .errors import DegenerateZProcessError, QuadratureError
@@ -315,6 +318,17 @@ def eta_upper_bound(params: ModelParams) -> float:
 
 # --- value functions ----------------------------------------------------------
 
+def full_information_rate(params: ModelParams) -> float:
+    """xi, the long-run growth rate per unit time with the drift observed:
+
+        xi = delta^2 / (4 kappa sigma^2) + mu_bar^2 / (2 sigma^2).
+    """
+    validate(params)
+    d = params.drift
+    sig2 = params.sigma**2
+    return float(d.delta**2 / (4.0 * d.kappa * sig2) + d.mu_bar**2 / (2.0 * sig2))
+
+
 @dataclass(frozen=True)
 class ValueFunctions:
     """Log-utility values at horizon T under four information/strategy sets.
@@ -341,6 +355,8 @@ def value_functions(params: ModelParams, T: float, quad_abs_tol: float = 1e-10) 
     integrand is taken at its analytic limit, m1(0)^2). Quadrature failure
     raises QuadratureError carrying the achieved tolerance.
     """
+    from scipy import integrate
+
     validate(params)
     if not (T > 0):
         raise ValueError(f"T must be > 0, got {T}")
@@ -372,10 +388,9 @@ def value_functions(params: ModelParams, T: float, quad_abs_tol: float = 1e-10) 
 
     v_bar = (v1s + m1s * m1s).integral(T) / (2.0 * sig2)
     v_check = (m1s * m1s).integral(T) / (2.0 * sig2)
-    d = params.drift
-    xi = d.delta**2 / (4.0 * d.kappa * sig2) + d.mu_bar**2 / (2.0 * sig2)
     return ValueFunctions(v1_star=float(v1_star), v2_star=float(v2_star),
-                          v_bar=float(v_bar), v_check=float(v_check), xi=float(xi))
+                          v_bar=float(v_bar), v_check=float(v_check),
+                          xi=full_information_rate(params))
 
 
 # --- convergence-day readout ---------------------------------------------------

@@ -10,6 +10,10 @@ endpoint of u, e^{-beta t} at the right endpoint of v: the zero-jump
 events). t = infinity: u/v collapse to scaled Beta laws handled in closed
 form, with Gauss-Jacobi nodes absorbing the endpoint singularities of the
 Beta kernel in every convolution integral.
+
+`scipy.special` is imported inside the functions that call it: it takes
+longer to load than most CLI calls take to run, and only the stationary
+filter and the long-run growth of the Markov drift need it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import (CFLViolationError, NumericError, OutsideSupportError,
                      QuadratureError, SchemeInstabilityError)
@@ -80,7 +83,9 @@ class QDecomposition:
 @lru_cache(maxsize=64)
 def _beta_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s in (0,1) and weights summing to 1 for E_{Beta(a,b)}[f(s)]."""
-    x, w = special.roots_jacobi(n, b - 1.0, a - 1.0)
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(n, b - 1.0, a - 1.0)
     s = 0.5 * (x + 1.0)
     w = w / w.sum()
     return s, w
@@ -133,15 +138,21 @@ class StationaryLaw:
 
     def u_inf(self, x):
         """Conditional c.d.f. of the limit drift integral given the low start."""
-        return special.betainc(self.a_exp, self.b_exp + 1.0, self._s(x))
+        from scipy.special import betainc
+
+        return betainc(self.a_exp, self.b_exp + 1.0, self._s(x))
 
     def v_inf(self, x):
         """Conditional c.d.f. given the high start."""
-        return special.betainc(self.a_exp + 1.0, self.b_exp, self._s(x))
+        from scipy.special import betainc
+
+        return betainc(self.a_exp + 1.0, self.b_exp, self._s(x))
 
     def mixture_cdf(self, x):
         """Unconditional (stationary-weighted) c.d.f.; equals Beta(a_exp, b_exp)."""
-        return special.betainc(self.a_exp, self.b_exp, self._s(x))
+        from scipy.special import betainc
+
+        return betainc(self.a_exp, self.b_exp, self._s(x))
 
     def nodes(self, extra_a: float = 0.0, extra_b: float = 0.0,
               n: int = 192) -> tuple[np.ndarray, np.ndarray]:
@@ -437,6 +448,8 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     The outer integral is truncated pad_sigmas Gaussian widths beyond the
     shifted support; the Gaussian tail estimate guards the truncation.
     """
+    from scipy.special import betaln
+
     d = _ctmc(params)
     law = stationary_law(params)
     qd = QDecomposition(params)
@@ -448,7 +461,7 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     # int l(z) f(z) dz = norm * E_Beta[f]; norm cancels prefactor to lambda^2/(2 sigma^2)
     a, b = law.a_exp, law.b_exp
     log_norm = ((a + b - 1.0) * math.log(d.rho2 - d.rho1)
-                + special.betaln(a, b) - math.log(params.lam))
+                + betaln(a, b) - math.log(params.lam))
     norm = math.exp(log_norm)
     prefactor = (law.c * d.beta * params.lam**2 * (d.rho2 - d.rho1)
                  / (2.0 * params.sigma**2 * (d.alpha + d.beta)))

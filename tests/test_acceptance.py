@@ -107,6 +107,7 @@ def test_criterion_5_volatility_direction(benchmark_params):
         assert abs(expma_rets[0] - 0.291054) < 0.03
 
 
+@pytest.mark.slow
 def test_criterion_6_moment_oracles(benchmark_params, ctmc_params):
     with criterion(6, "closed-form moments vs refined Monte Carlo", budget_s=600.0):
         times = [0.5, 1.0, 12.0]
@@ -150,6 +151,7 @@ def test_criterion_7_optimization_properties(benchmark_params, ctmc_params):
         assert xl.long_run_growth_ctmc(ctmc_params) >= g_star - 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_8_filter_suite(ctmc_params, ctmc_gentle_params):
     with criterion(8, "filter laws vs simulation and long-run growth",
                    budget_s=900.0):

@@ -220,6 +220,7 @@ def test_finite_horizon_affine_runs(ctmc_params):
     assert math.isfinite(a) and math.isfinite(b)
 
 
+@pytest.mark.slow
 def test_growth_value_vs_simulation(ctmc_gentle_params):
     """Long-run growth of the limit affine weight vs chunked MC log wealth
     at T = 600 with a refined step, within 3 standard errors."""

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from expma_lab import (ConfigError, ExperimentConfig, ReportSet, emit,
                        run_experiment)
 from expma_lab.cli import main as cli_main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BENCHMARK_DRIFT = {"type": "ou", "kappa": 0.0226, "mu_bar": 0.0034, "delta": 8.2404e-4,
           "m1_0": None, "v1_0": None}
 
@@ -273,6 +275,39 @@ def test_cli_rejects_invalid_values_by_code(tmp_path, capsys, section, field, va
     cfg = write_config(tmp_path, d)
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"[{code}]" in capsys.readouterr().err
+
+
+# Just off kappa = lambda the OU coefficients lose precision as 1/(kappa - lambda)^2.
+# Unguarded, the exact-integral a1 read 147.67 at eps = 1e-8 and 1.95 at 1e-10
+# (150.08 is right) and exited 3 at 1e-12. Closer than KAPPA_LAMBDA_GUARD *
+# lambda is rejected with the exact-equality code.
+@pytest.mark.parametrize("eps, rc", [(1e-4, 0), (1e-8, 2), (1e-10, 2), (1e-12, 2)])
+def test_cli_strategy_guards_kappa_near_lambda(tmp_path, capsys, eps, rc):
+    d = config_dict(horizon=24.0)
+    d["params"]["drift"].update(kappa=2.0 * (1.0 + eps), delta=0.05, mu_bar=0.01,
+                                m1_0=0.0, v1_0=0.001)
+    cfg = write_config(tmp_path, d)
+    assert cli_main(["strategy", "--config", cfg]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert "[kappa_equals_lambda]" in captured.err
+    else:
+        a1 = json.loads(captured.out)["utility_c1_exact_integrals"]["a"]
+        assert a1 == pytest.approx(150.0608, rel=1e-6)
+
+
+def test_growth_ou_table_is_unchanged(tmp_path):
+    out = tmp_path / "g"
+    assert cli_main(["growth", "--config", str(CONFIGS / "growth_ou.json"),
+                     "--out", str(out)]) == 0
+    assert (out / "growth_rates.csv").read_text() == (
+        "quantity,value\n"
+        "eta,0.003070865981026824\n"
+        "eta_at_hat_lambda,0.0035613417349036804\n"
+        "eta_upper_bound,0.0035613417349036804\n"
+        "hat_lambda,0.029461330587738227\n"
+        "price_filtration_rate,0.003040568975675448\n"
+        "xi,0.006992007028772793\n")
 
 
 @pytest.mark.parametrize("row", ["2020-01-02,abc", "2020-01-02,", "2020-01-02"])

@@ -8,10 +8,10 @@ from scipy import integrate
 
 from expma_lab import (ABCD, DegenerateZProcessError, ModelParams, OUDrift,
                        OUCoefficients, affine_objective, convergence_day,
-                       eta, eta_upper_bound, growth_limit_affine, hat_lambda,
-                       optimal_affine_from_abcd, optimal_c2_coefficients,
-                       optimal_utility_affine, ou_abcd, ou_moments,
-                       value_functions)
+                       eta, eta_upper_bound, full_information_rate,
+                       growth_limit_affine, hat_lambda, optimal_affine_from_abcd,
+                       optimal_c2_coefficients, optimal_utility_affine, ou_abcd,
+                       ou_moments, value_functions)
 from oracles import ou_moment_mc
 
 
@@ -353,6 +353,7 @@ def test_growth_rate_ratio_asymptotics(benchmark_params):
     assert abs(ratio(kappa=1e-7) - 1) < abs(ratio(kappa=1e-5) - 1)
 
 
+@pytest.mark.slow
 def test_eta_vs_long_run_mc(benchmark_params):
     """eta at the benchmark set matches (1/T) E[log wealth] under the limit
     affine weight at T = 600 within 3 standard errors."""
@@ -376,6 +377,17 @@ def test_value_functions_ordering(benchmark_params):
     assert vf.xi == pytest.approx(
         d.delta**2 / (4 * d.kappa * benchmark_params.sigma**2)
         + d.mu_bar**2 / (2 * benchmark_params.sigma**2), rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ou)
+def test_full_information_rate_is_value_functions_xi(params):
+    d = params.drift
+    sig2 = params.sigma**2
+    xi = full_information_rate(params)
+    assert xi == d.delta**2 / (4.0 * d.kappa * sig2) + d.mu_bar**2 / (2.0 * sig2)
+    for T in (0.5, 6.0, 24.0, 120.0):
+        assert value_functions(params, T).xi == xi
 
 
 def test_value_functions_ordering_on_grid(benchmark_params):

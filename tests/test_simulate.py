@@ -93,6 +93,7 @@ def test_resource_bound():
         simulate_paths(p, SimConfig(horizon_months=600.0, n_paths=100_000, seed=1))
 
 
+@pytest.mark.slow
 def test_z_moments_match_closed_forms(benchmark_params):
     """Bundle statistics at t = 12 vs the closed-form moments within 3 SE
     (refined step keeps the Euler bias inside the band)."""
