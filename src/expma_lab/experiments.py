@@ -353,6 +353,8 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
     snaps = config.pde_snapshots or (config.pde_t_max,)
     grid = regime_filter.solve_uv_pde(config.params, t_max=config.pde_t_max,
                                       nx=config.pde_nx, snapshot_times=snaps)
+    md["pde_steps"] = grid.steps
+    md["pde_cfl_eff"] = grid.cfl_eff
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "uv_grid.csv")
     grid.to_csv(path)

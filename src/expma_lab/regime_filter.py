@@ -11,9 +11,12 @@ events). t = infinity: u/v collapse to scaled Beta laws handled in closed
 form, with Gauss-Jacobi nodes absorbing the endpoint singularities of the
 Beta kernel in every convolution integral.
 
-`scipy.special` is imported inside the functions that call it: it takes
-longer to load than most CLI calls take to run, and only the stationary
-filter and the long-run growth of the Markov drift need it.
+The Gauss-Jacobi nodes come from numpy's symmetric eigensolver and the
+Beta function from `math.lgamma`, so the filter, the transport solve and
+the long-run growth run without scipy. Only the test-facing closed-form
+c.d.f.s (`u_inf`, `v_inf`, `mixture_cdf`) need `scipy.special.betainc`;
+they import it when called, because the package takes longer to load than
+most CLI calls take to run.
 """
 
 from __future__ import annotations
@@ -80,14 +83,62 @@ class QDecomposition:
         return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
+def _jacobi_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """p_n(x) up to a constant factor, p_n'(x) with the same factor, and
+    sum_{k<n} p_k(x)^2, from the orthonormal three-term recurrence
+    x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}, p_0 = 1."""
+    scale = np.append(off, 1.0)  # p_n only enters as p_n / p_n'
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    norm2 = np.zeros_like(x)
+    for k in range(diag.size):
+        norm2 += p * p
+        lower = off[k - 1] if k else 0.0
+        shifted = x - diag[k]
+        p_prev, p, dp_prev, dp = (
+            p, (shifted * p - lower * p_prev) / scale[k],
+            dp, (p + shifted * dp - lower * dp_prev) / scale[k])
+    return p, dp, norm2
+
+
 @lru_cache(maxsize=64)
 def _beta_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s in (0,1) and weights summing to 1 for E_{Beta(a,b)}[f(s)]."""
-    from scipy.special import roots_jacobi
+    """Nodes s in (0,1) and weights summing to 1 for E_{Beta(a,b)}[f(s)].
 
-    x, w = roots_jacobi(n, b - 1.0, a - 1.0)
+    Gauss-Jacobi rule for the weight (1-x)^al (1+x)^be on [-1, 1], al = b-1,
+    be = a-1, mapped to s = (x+1)/2 (Golub & Welsch, Math. Comp. 23, 1969):
+    the nodes are the eigenvalues of the Jacobi matrix, the weights the
+    Christoffel numbers 1 / sum_{k<n} p_k(x)^2 of the orthonormal
+    polynomials. Near a singular endpoint the Christoffel function changes
+    by about n^2 relative per unit x, so the eigenvalues, off by a few ulps,
+    get two Newton steps on p_n first. The arrays are cached and shared, so
+    they are read-only.
+    """
+    al, be = b - 1.0, a - 1.0
+    k = np.arange(n, dtype=float)
+    m = 2.0 * k + al + be
+    # diagonal (be^2 - al^2) / (m (m+2)); at k = 0 the factor al+be cancels
+    diag = np.empty(n)
+    diag[0] = (be - al) / (al + be + 2.0)
+    diag[1:] = (be * be - al * al) / (m[1:] * (m[1:] + 2.0))
+    # squared off-diagonal for k = 1..n-1; at k = 1 the factor al+be+1 cancels
+    k, m = k[2:], m[2:]
+    off2 = np.empty(n - 1)
+    off2[:1] = 4.0 * (1.0 + al) * (1.0 + be) / ((al + be + 2.0) ** 2 * (al + be + 3.0))
+    off2[1:] = (4.0 * k * (k + al) * (k + be) * (k + al + be)
+                / (m * m * (m + 1.0) * (m - 1.0)))
+    off = np.sqrt(off2)
+
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        p, dp, _ = _jacobi_recurrence(x, diag, off)
+        x = x - p / dp
+    norm2 = _jacobi_recurrence(x, diag, off)[2]
     s = 0.5 * (x + 1.0)
-    w = w / w.sum()
+    w = 1.0 / norm2
+    w /= w.sum()
+    s.flags.writeable = False
+    w.flags.writeable = False
     return s, w
 
 
@@ -201,7 +252,8 @@ class UVGrid:
     xi is the fixed grid on [0, 1]; physical coordinates at snapshot time t
     are lo(t) + xi * (hi(t) - lo(t)). u rows carry the left-endpoint atom
     exp(-alpha t) as their first value; v rows end at 1 including the
-    right-endpoint atom exp(-beta t).
+    right-endpoint atom exp(-beta t). steps is the number of explicit steps
+    the march took and cfl_eff the CFL number it stepped at.
     """
 
     params: ModelParams
@@ -209,6 +261,8 @@ class UVGrid:
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    steps: int
+    cfl_eff: float
 
     def support(self, t: float) -> tuple[float, float]:
         return QDecomposition(self.params).support(t)
@@ -300,39 +354,52 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
     dxi = xi[1] - xi[0]
     rate = max(d.alpha, d.beta)
 
-    u = math.exp(-d.alpha * t0) + (1.0 - math.exp(-d.alpha * t0)) * xi
-    v = (1.0 - math.exp(-d.beta * t0)) * xi
-    v[-1] = 1.0
+    # One state array w = [u, v reversed]: both halves then difference toward
+    # the next index, and the v update (speed -(1-xi)s, backward difference)
+    # is the same arithmetic with both signs flipped, which is exact, so
+    # every interior value equals that of a separate u/v march bit for bit.
+    # The four boundary values are re-imposed after each step, so the
+    # difference across the seam at nx-1 is never used.
+    w = np.empty(2 * nx)
+    u, vr = w[:nx], w[nx:]
+    u[:] = math.exp(-d.alpha * t0) + (1.0 - math.exp(-d.alpha * t0)) * xi
+    vr[:] = ((1.0 - math.exp(-d.beta * t0)) * xi)[::-1]
+    vr[0] = 1.0
+    speed = np.concatenate([xi, (1.0 - xi)[::-1]])
+    jump = np.repeat([d.alpha, d.beta], nx)
+    diff = np.zeros_like(w)
+    flow = np.empty_like(w)
+    swap = np.empty_like(w)
 
     out_u, out_v, out_t = [], [], []
     t = t0
-    pending = list(snaps)
-    while pending:
-        target = pending.pop(0)
+    steps = 0
+    for target in snaps:
         while t < target:
             s = lam / (-math.expm1(-lam * t))
             dt = min(cfl_eff / (s / dxi + rate), target - t)
-            # u: leftward characteristics, difference toward xi+
-            du = np.empty_like(u)
-            du[:-1] = (u[1:] - u[:-1]) / dxi
-            du[-1] = 0.0
-            dv = np.empty_like(v)
-            dv[1:] = (v[1:] - v[:-1]) / dxi
-            dv[0] = 0.0
-            u_new = u + dt * (xi * s * du - d.alpha * (u - v))
-            v_new = v + dt * (-(1.0 - xi) * s * dv - d.beta * (v - u))
+            np.subtract(w[1:], w[:-1], out=diff[:-1])
+            np.divide(diff[:-1], dxi, out=diff[:-1])
+            np.multiply(speed, s, out=flow)
+            np.multiply(flow, diff, out=flow)
+            np.subtract(w, w[::-1], out=swap)
+            np.multiply(jump, swap, out=swap)
+            np.subtract(flow, swap, out=flow)
+            np.multiply(flow, dt, out=flow)
+            np.add(w, flow, out=w)
             t += dt
-            u, v = u_new, v_new
+            steps += 1
             u[0] = math.exp(-d.alpha * t)
             u[-1] = 1.0
-            v[0] = 0.0
-            v[-1] = 1.0
+            vr[0] = 1.0
+            vr[-1] = 0.0
         out_u.append(u.copy())
-        out_v.append(v.copy())
+        out_v.append(vr[::-1].copy())
         out_t.append(t)
 
     grid = UVGrid(params=params, xi=xi, times=np.asarray(out_t),
-                  u=np.asarray(out_u), v=np.asarray(out_v))
+                  u=np.asarray(out_u), v=np.asarray(out_v),
+                  steps=steps, cfl_eff=cfl_eff)
     _check_grid(grid)
     return grid
 
@@ -448,8 +515,6 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     The outer integral is truncated pad_sigmas Gaussian widths beyond the
     shifted support; the Gaussian tail estimate guards the truncation.
     """
-    from scipy.special import betaln
-
     d = _ctmc(params)
     law = stationary_law(params)
     qd = QDecomposition(params)
@@ -461,7 +526,8 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     # int l(z) f(z) dz = norm * E_Beta[f]; norm cancels prefactor to lambda^2/(2 sigma^2)
     a, b = law.a_exp, law.b_exp
     log_norm = ((a + b - 1.0) * math.log(d.rho2 - d.rho1)
-                + betaln(a, b) - math.log(params.lam))
+                + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+                - math.log(params.lam))
     norm = math.exp(log_norm)
     prefactor = (law.c * d.beta * params.lam**2 * (d.rho2 - d.rho1)
                  / (2.0 * params.sigma**2 * (d.alpha + d.beta)))

@@ -5,7 +5,8 @@ internals: the OU oracle advances the drift by its exact one-step
 transition and the signal by its exact conditionally-Gaussian step (drift
 frozen within a step); the chain oracles draw exact exponential jump times
 with a single shared generator and active-path rounds. The reference
-ledger is the day-by-day wealth loop that `run_strategy` vectorises.
+ledger is the day-by-day wealth loop that `run_strategy` vectorises, and
+the reference march the two-array transport loop of `solve_uv_pde`.
 """
 
 from __future__ import annotations
@@ -216,3 +217,54 @@ def reference_ledger(bundle, strategy, omega):
                            delta=delta, cost=cost, bankrupt=bankrupt,
                            dt=bundle.dt, omega=omega, pi0=bundle.pi0, x0=bundle.x0,
                            strategy_name=strategy.name)
+
+
+def reference_uv_march(params, t_max, nx=512, nt=None, cfl=0.9, snapshot_times=None):
+    """The transport march with separate u and v arrays and fresh
+    temporaries every step: (times, u, v) at the snapshot times. The
+    reference `solve_uv_pde` is compared against, bit for bit."""
+    from expma_lab.regime_filter import _auto_steps
+
+    d = params.drift
+    lam = params.lam
+    t0 = 1e-3 / max(lam, d.alpha, d.beta, 1.0)
+    cfl_eff = cfl
+    if nt is not None:
+        cfl_eff = cfl * _auto_steps(params, t0, t_max, nx, cfl) / nt
+    snaps = sorted(set(float(t) for t in (snapshot_times if snapshot_times is not None else [t_max])))
+
+    xi = np.linspace(0.0, 1.0, nx)
+    dxi = xi[1] - xi[0]
+    rate = max(d.alpha, d.beta)
+
+    u = math.exp(-d.alpha * t0) + (1.0 - math.exp(-d.alpha * t0)) * xi
+    v = (1.0 - math.exp(-d.beta * t0)) * xi
+    v[-1] = 1.0
+
+    out_u, out_v, out_t = [], [], []
+    t = t0
+    pending = list(snaps)
+    while pending:
+        target = pending.pop(0)
+        while t < target:
+            s = lam / (-math.expm1(-lam * t))
+            dt = min(cfl_eff / (s / dxi + rate), target - t)
+            # u: leftward characteristics, difference toward xi+
+            du = np.empty_like(u)
+            du[:-1] = (u[1:] - u[:-1]) / dxi
+            du[-1] = 0.0
+            dv = np.empty_like(v)
+            dv[1:] = (v[1:] - v[:-1]) / dxi
+            dv[0] = 0.0
+            u_new = u + dt * (xi * s * du - d.alpha * (u - v))
+            v_new = v + dt * (-(1.0 - xi) * s * dv - d.beta * (v - u))
+            t += dt
+            u, v = u_new, v_new
+            u[0] = math.exp(-d.alpha * t)
+            u[-1] = 1.0
+            v[0] = 0.0
+            v[-1] = 1.0
+        out_u.append(u.copy())
+        out_v.append(v.copy())
+        out_t.append(t)
+    return np.asarray(out_t), np.asarray(out_u), np.asarray(out_v)

@@ -206,6 +206,12 @@ def test_cli_pde(tmp_path):
     lines = (out / "uv_grid.csv").read_text().splitlines()
     assert lines[0] == "t,x_physical,u,v"
     assert len(lines) == 1 + 2 * 128
+    # the JSON report carries the march diagnostics; the CSVs do not
+    assert cli_main(["pde", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    md = json.loads((out / "pde_report.json").read_text())["metadata"]
+    assert isinstance(md["pde_steps"], int) and md["pde_steps"] > 0
+    assert 0.0 < md["pde_cfl_eff"] <= 0.9
+    assert (out / "uv_grid.csv").read_text().splitlines() == lines
 
 
 def test_cli_signal(tmp_path, capsys):

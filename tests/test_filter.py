@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from expma_lab import (CFLViolationError, CTMC2Drift, ModelParams,
                        filter_expectation, filter_strategy, g_infinity,
                        gamma_fn, long_run_growth_ctmc, optimal_growth_affine,
                        p_q_infinity, solve_uv_pde, stationary_law)
-from oracles import ctmc_drift_integral
+from expma_lab.experiments import ExperimentConfig
+from expma_lab.regime_filter import _auto_steps, _beta_nodes
+from oracles import ctmc_drift_integral, reference_uv_march
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def mk(rho1, rho2, alpha, beta, sigma, lam):
@@ -133,6 +138,29 @@ def test_pde_long_time_reaches_stationary_law(ctmc_params):
     xs = np.linspace(lo, hi, 301)
     assert np.max(np.abs(g.u_at(t_big, xs) - law.u_inf(xs))) < 0.01
     assert np.max(np.abs(g.v_at(t_big, xs) - law.v_inf(xs))) < 0.01
+
+
+def _march_cases():
+    p = ExperimentConfig.from_json_file(str(CONFIGS / "pde.json")).params
+    asym = mk(-0.2, 0.3, 0.7, 1.9, 0.2, 2.5)
+    t0 = 1e-3 / 2.5
+    return [
+        pytest.param(p, dict(t_max=8.0, nx=512, snapshot_times=[1.0, 2.0, 8.0]), id="pde_config"),
+        pytest.param(asym, dict(t_max=2.0, nx=64, snapshot_times=[0.5, 2.0]), id="asymmetric"),
+        pytest.param(p, dict(t_max=0.5, nx=128, snapshot_times=[0.25, 0.5],
+                             nt=3 * _auto_steps(p, t0, 0.5, 128, 0.9) // 2), id="nt_above_ladder"),
+        # about 3 steps of 0.014 t0 each, the last one clipped to t_max
+        pytest.param(asym, dict(t_max=1.04 * t0, nx=64), id="few_steps"),
+    ]
+
+
+@pytest.mark.parametrize("params, kw", _march_cases())
+def test_uv_march_matches_reference_loop(params, kw):
+    g = solve_uv_pde(params, **kw)
+    times, u, v = reference_uv_march(params, **kw)
+    assert np.array_equal(g.times, times)
+    assert np.array_equal(g.u, u)
+    assert np.array_equal(g.v, v)
 
 
 def test_uv_grid_csv_export(tmp_path, ctmc_params):
@@ -353,6 +381,46 @@ def test_long_run_growth_node_count_stable(ctmc_params):
     v1 = long_run_growth_ctmc(ctmc_params, n_nodes=128, n_outer=2048)
     v2 = long_run_growth_ctmc(ctmc_params, n_nodes=256, n_outer=8192)
     assert v1 == pytest.approx(v2, rel=1e-9)
+
+
+# --- Gauss-Jacobi nodes ------------------------------------------------------------
+
+BETA_NODE_CASES = [(0.01, 0.01), (0.4, 0.4), (0.4, 1.4), (1.4, 0.4),
+                   (0.5, 0.5),  # al + be = -1: the k = 1 off-diagonal limit
+                   (1.0, 1.0),  # al = be = 0: the k = 0 diagonal limit
+                   (1.0, 3.0), (30.0, 0.7), (61.0, 61.0)]
+
+
+@pytest.mark.parametrize("a, b", BETA_NODE_CASES)
+def test_beta_nodes_gauss_jacobi_properties(a, b):
+    """An n-node Gauss rule integrates every Beta(a, b) moment up to
+    s^(2n-1); scipy's weights are the less accurate ones, so only its nodes
+    are compared."""
+    from scipy import special
+
+    n = 192
+    s, w = _beta_nodes(a, b, n)
+    assert np.all((s > 0.0) & (s < 1.0)) and np.all(w > 0.0)
+    assert w.sum() == pytest.approx(1.0, rel=1e-15, abs=0)
+    k = np.arange(2 * n)
+    exact = np.concatenate([[1.0], np.cumprod((a + k[:-1]) / (a + b + k[:-1]))])
+    quad = (s[None, :] ** k[:, None]) @ w
+    assert np.max(np.abs(quad / exact - 1.0)) <= 1e-11
+    x, _ = special.roots_jacobi(n, b - 1.0, a - 1.0)
+    assert np.max(np.abs(s - 0.5 * (x + 1.0))) <= 1e-14
+
+
+def test_beta_nodes_are_read_only():
+    for arr in _beta_nodes(0.4, 1.4, 64):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_long_run_growth_on_growth_config_is_pinned():
+    """configs/growth_ctmc.json; the value computed with scipy's
+    roots_jacobi and betaln was 0.21606856087904108."""
+    p = ExperimentConfig.from_json_file(str(CONFIGS / "growth_ctmc.json")).params
+    assert long_run_growth_ctmc(p) == pytest.approx(0.21606856087904108, rel=1e-10)
 
 
 def test_filter_vs_eq10_form(ctmc_params):

@@ -1,9 +1,9 @@
-"""Import contract: a CLI call loads scipy only for the numerics it emits.
+"""Import contract: no CLI subcommand loads scipy.
 
-`scipy.integrate` and `scipy.special` take longer to import than most CLI
-calls take to run, so `expma_lab` imports them inside the functions that
-call them. Each check runs in a fresh interpreter, because the test process
-has scipy loaded already.
+scipy takes longer to import than most CLI calls take to run. `expma_lab`
+imports it only inside functions no subcommand calls (`ou.value_functions`
+and the closed-form Beta c.d.f.s of `regime_filter`). Each check runs in a
+fresh interpreter, because the test process has scipy loaded already.
 """
 
 import json
@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -84,19 +83,13 @@ def test_commands_without_scipy_numerics_load_no_scipy(tmp_path):
          "--out", out],
         ["sweep", "--config", write_config(tmp_path, "sweep", OU, "lambda_sweep",
                                            sweep_values=[2.0, 0.5]), "--out", out],
+        # the Markov drift: its stationary filter and long-run growth
+        ["growth", "--config", write_config(tmp_path, "growth_ctmc", MARKOV, "growth_rates"),
+         "--out", out],
+        ["simulate", "--config", write_config(tmp_path, "simulate_ctmc", MARKOV, "performance"),
+         "--out", out],
     ]
     report = run_child(tmp_path, argvs)
     assert [run["rc"] for run in report["runs"]] == [0] * len(argvs)
     for run in report["runs"]:
-        assert run["scipy"] == [], run["argv"][0]
-
-
-@pytest.mark.parametrize("command, experiment", [("growth", "growth_rates"),
-                                                 ("simulate", "performance")])
-def test_markov_drift_commands_load_special_only(tmp_path, command, experiment):
-    cfg = write_config(tmp_path, command, MARKOV, experiment)
-    report = run_child(tmp_path, [[command, "--config", cfg, "--out", str(tmp_path / "out")]])
-    (run,) = report["runs"]
-    assert run["rc"] == 0
-    assert "scipy.special" in run["scipy"]
-    assert not any(m.startswith("scipy.integrate") for m in run["scipy"])
+        assert run["scipy"] == [], run["argv"]
