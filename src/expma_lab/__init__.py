@@ -13,8 +13,8 @@ from .ctmc import (CTMCLimits, CTMCMomentSet, CTMCStationary, ctmc_abcd,
                    ctmc_growth_value, ctmc_limits, ctmc_moments,
                    ctmc_stationary, finite_horizon_affine,
                    optimal_growth_affine)
-from .errors import (CFLViolationError, ConfigError, DegenerateZProcessError,
-                     ExpmaError, LeverageCostSingularityError, NumericError,
+from .errors import (ConfigError, DegenerateZProcessError, ExpmaError,
+                     LeverageCostSingularityError, NumericError,
                      OutsideSupportError, QuadratureError,
                      ResourceLimitError, SchemeInstabilityError,
                      ValidationError)
@@ -33,7 +33,7 @@ from .ou import (ABCD, A2_CONVERGENCE_RTOL, B2_CONVERGENCE_RTOL,
                  optimal_utility_affine, ou_abcd, ou_moments, value_functions)
 from .regime_filter import (QDecomposition, StationaryLaw, UVGrid,
                             conditional_densities, filter_expectation,
-                            filter_strategy, g_infinity, gamma_fn,
+                            filter_strategy, g_infinity,
                             long_run_growth_ctmc, p_q_infinity,
                             solve_uv_pde, stationary_law)
 from .simulate import (PathBundle, WealthLedger, rebalance_delta,

@@ -114,6 +114,18 @@ def ctmc_abcd(params: ModelParams, T: float) -> ABCD:
                 C=float(n4.integral(T)), D=float(n2.integral(T)))
 
 
+def _hij(params: ModelParams) -> tuple[float, float, float]:
+    """(h_inf, i_inf, j_inf) = lim A/T, C/T, D/T."""
+    d = _drift(params)
+    lam, sig2 = params.lam, params.sigma**2
+    st = ctmc_stationary(params)
+    ab = d.alpha + d.beta
+    j_inf = (st.n1 - 0.5 * sig2) / lam
+    h_inf = st.n1 * j_inf + st.gamma / (lam + ab)
+    i_inf = st.gamma / (lam * (lam + ab)) + sig2 / (2.0 * lam) + j_inf**2
+    return h_inf, i_inf, j_inf
+
+
 def ctmc_limits(params: ModelParams) -> CTMCLimits:
     """The five long-run limits; verifies the asserted positivity g(c,d) > 0."""
     d = _drift(params)
@@ -122,37 +134,25 @@ def ctmc_limits(params: ModelParams) -> CTMCLimits:
     n1, gam = st.n1, st.gamma
     ab = d.alpha + d.beta
 
-    j_inf = (n1 - 0.5 * sig2) / lam
-    h_inf = n1 * j_inf + gam / (lam + ab)
-    i_inf = gam / (lam * (lam + ab)) + sig2 / (2.0 * lam) + j_inf**2
+    h_inf, i_inf, j_inf = _hij(params)
     c_inf = 2.0 * lam * gam / (2.0 * gam * sig2 + sig2**2 * (lam + ab))
     d_inf = (gam + n1 * (lam + ab)) / (2.0 * gam + sig2 * (lam + ab))
-    lim = CTMCLimits(h_inf=h_inf, i_inf=i_inf, j_inf=j_inf, c_inf=c_inf, d_inf=d_inf)
 
-    g_opt = ctmc_growth_value(params, c_inf, d_inf, _limits=lim)
+    g_opt = ctmc_growth_value(params, c_inf, d_inf)
     if not (g_opt > 0.0):
         raise NumericError(f"stationary growth value g(c_inf, d_inf) = {g_opt:.6g} <= 0")
-    return lim
+    return CTMCLimits(h_inf=h_inf, i_inf=i_inf, j_inf=j_inf, c_inf=c_inf, d_inf=d_inf)
 
 
-def ctmc_growth_value(params: ModelParams, x: float, y: float,
-                      _limits: CTMCLimits | None = None) -> float:
+def ctmc_growth_value(params: ModelParams, x: float, y: float) -> float:
     """Long-run growth rate of the constant affine weight x*z + y:
 
         g(x, y) = h_inf x + n1 y - (sigma^2/2)(i_inf x^2 + 2 j_inf x y + y^2).
     """
-    d = _drift(params)
-    st = ctmc_stationary(params)
-    if _limits is None:
-        lam, sig2 = params.lam, params.sigma**2
-        ab = d.alpha + d.beta
-        j_inf = (st.n1 - 0.5 * sig2) / lam
-        h_inf = st.n1 * j_inf + st.gamma / (lam + ab)
-        i_inf = st.gamma / (lam * (lam + ab)) + sig2 / (2.0 * lam) + j_inf**2
-    else:
-        h_inf, i_inf, j_inf = _limits.h_inf, _limits.i_inf, _limits.j_inf
+    h_inf, i_inf, j_inf = _hij(params)
+    n1 = ctmc_stationary(params).n1
     sig2 = params.sigma**2
-    return (h_inf * x + st.n1 * y
+    return (h_inf * x + n1 * y
             - 0.5 * sig2 * (i_inf * x * x + 2.0 * j_inf * x * y + y * y))
 
 

@@ -50,10 +50,6 @@ class QuadratureError(NumericError):
         self.achieved_tol = achieved_tol
 
 
-class CFLViolationError(NumericError):
-    """Requested time stepping violates the CFL/monotonicity bound of the scheme."""
-
-
 class SchemeInstabilityError(NumericError):
     """Grid output is non-monotone or out of range beyond scheme tolerance."""
 
@@ -70,5 +66,5 @@ class LeverageCostSingularityError(NumericError):
     code = "leverage_cost_singularity"
 
 
-class ResourceLimitError(ExpmaError, ValueError):
+class ResourceLimitError(ConfigError):
     """Requested simulation size exceeds the configured resource bound."""

@@ -22,7 +22,7 @@ from . import __version__
 from . import ctmc as ctmc_mod
 from . import ou as ou_mod
 from . import regime_filter
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, compute_metrics
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine, validate, validate_sim)
@@ -67,24 +67,27 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            experiment = d["experiment"]
-            params = ModelParams.from_dict(d["params"])
-            sim = SimConfig.from_dict(d["sim"])
+            pde = d.get("pde") or {}
+            sweep = d.get("sweep_values")
+            t_max = pde.get("t_max")
+            return cls(
+                experiment=d["experiment"],
+                params=ModelParams.from_dict(d["params"]),
+                sim=SimConfig.from_dict(d["sim"]),
+                sweep_values=None if sweep is None else tuple(float(v) for v in sweep),
+                signal_input=d.get("signal_input"),
+                pde_t_max=None if t_max is None else float(t_max),
+                pde_nx=int(pde.get("nx", 512)),
+                pde_snapshots=(tuple(float(t) for t in pde["snapshot_times"])
+                               if pde.get("snapshot_times") else None),
+                out_dir=d.get("out_dir", "."),
+            )
+        except ValidationError:  # a ValueError too; keep its field codes
+            raise
         except KeyError as exc:
             raise ConfigError(f"config missing required section: {exc}") from exc
-        pde = d.get("pde") or {}
-        sweep = d.get("sweep_values")
-        return cls(
-            experiment=experiment,
-            params=params,
-            sim=sim,
-            sweep_values=None if sweep is None else tuple(float(v) for v in sweep),
-            signal_input=d.get("signal_input"),
-            pde_t_max=pde.get("t_max"),
-            pde_nx=int(pde.get("nx", 512)),
-            pde_snapshots=tuple(pde["snapshot_times"]) if pde.get("snapshot_times") else None,
-            out_dir=d.get("out_dir", "."),
-        )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config field: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -111,8 +114,8 @@ class ExperimentConfig:
                     validate(self.params.with_lambda(v))
                 elif self.experiment == "vol_sweep":
                     validate(self.params.with_sigma(v))
-                elif self.experiment == "horizon_sweep" and not v > 0:
-                    raise ConfigError(f"horizon sweep value must be > 0, got {v}")
+                elif self.experiment == "horizon_sweep":
+                    validate_sim(replace(self.sim, horizon_months=v))
                 elif self.experiment == "cost_sweep" and not (0.0 <= v < 1.0):
                     raise ConfigError(f"cost sweep value must be in [0, 1), got {v}")
         if self.experiment == "signal" and not self.signal_input:
@@ -354,7 +357,7 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
     grid = regime_filter.solve_uv_pde(config.params, t_max=config.pde_t_max,
                                       nx=config.pde_nx, snapshot_times=snaps)
     md["pde_steps"] = grid.steps
-    md["pde_cfl_eff"] = grid.cfl_eff
+    md["pde_cfl_eff"] = regime_filter.CFL
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "uv_grid.csv")
     grid.to_csv(path)

@@ -110,9 +110,6 @@ class ModelParams:
     def is_ctmc(self) -> bool:
         return isinstance(self.drift, CTMC2Drift)
 
-    def validated(self) -> "ModelParams":
-        return validate(self)
-
     def with_lambda(self, lam: float) -> "ModelParams":
         return replace(self, lam=float(lam))
 

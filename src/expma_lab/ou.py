@@ -347,13 +347,14 @@ class ValueFunctions:
     xi: float
 
 
-def value_functions(params: ModelParams, T: float, quad_abs_tol: float = 1e-10) -> ValueFunctions:
+def value_functions(params: ModelParams, T: float) -> ValueFunctions:
     """Compute the four horizon-T values and the full-information rate xi.
 
     v_bar and v_check integrate exponential sums exactly; v2_star needs
     quadrature of corr(Z_t, mu_t)^2 v1(t) + m1(t)^2 over [0, T] (the t=0
-    integrand is taken at its analytic limit, m1(0)^2). Quadrature failure
-    raises QuadratureError carrying the achieved tolerance.
+    integrand is taken at its analytic limit, m1(0)^2) to an absolute
+    tolerance of 1e-10. Quadrature failure raises QuadratureError carrying
+    the achieved tolerance.
     """
     from scipy import integrate
 
@@ -380,9 +381,9 @@ def value_functions(params: ModelParams, T: float, quad_abs_tol: float = 1e-10) 
         return (corr * corr * v1v + m1v * m1v) / (2.0 * sig2)
 
     val, abserr, info, *rest = integrate.quad(integrand, 0.0, T,
-                                              epsabs=quad_abs_tol, epsrel=1e-12,
+                                              epsabs=1e-10, epsrel=1e-12,
                                               limit=200, full_output=1)
-    if rest or abserr > max(quad_abs_tol * 100.0, 1e-12 * abs(val)):
+    if rest or abserr > max(1e-8, 1e-12 * abs(val)):
         raise QuadratureError("v2_star integrand did not converge", achieved_tol=abserr)
     v2_star = val
 
@@ -396,27 +397,27 @@ def value_functions(params: ModelParams, T: float, quad_abs_tol: float = 1e-10) 
 # --- convergence-day readout ---------------------------------------------------
 
 def convergence_day(params: ModelParams, coefficient: str,
-                    dt: float = DEFAULT_DT, tol: float | None = None,
-                    scan_days: int = 2000) -> int:
+                    dt: float = DEFAULT_DT) -> int:
     """First trading day d such that the chosen time-varying coefficient stays
-    within the frozen relative tolerance of its long-run limit on every day >= d.
+    within the frozen relative tolerance of its long-run limit on every day
+    >= d, scanning days 1..2000.
 
     coefficient: "slope" for a2*(t) vs a_inf, "intercept" for b2*(t) vs b_inf.
     """
     if coefficient not in ("slope", "intercept"):
         raise ValueError("coefficient must be 'slope' or 'intercept'")
     a_inf, b_inf = growth_limit_affine(params)
-    days = np.arange(1, scan_days + 1)
+    days = np.arange(1, 2001)
     a2, b2 = optimal_c2_coefficients(params, days * dt)
     if coefficient == "slope":
         rel = np.abs(a2 - a_inf) / abs(a_inf)
-        tol = A2_CONVERGENCE_RTOL if tol is None else tol
+        tol = A2_CONVERGENCE_RTOL
     else:
         rel = np.abs(b2 - b_inf) / abs(b_inf)
-        tol = B2_CONVERGENCE_RTOL if tol is None else tol
+        tol = B2_CONVERGENCE_RTOL
     inside = rel < tol
     if not inside[-1]:
-        raise ValueError(f"coefficient never settles within {tol} over {scan_days} days")
+        raise ValueError(f"coefficient never settles within {tol} over {days.size} days")
     # last index that is still outside, +1 day after it
     outside = np.nonzero(~inside)[0]
     return int(days[outside[-1] + 1]) if outside.size else int(days[0])

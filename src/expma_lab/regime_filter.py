@@ -27,26 +27,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CFLViolationError, NumericError, OutsideSupportError,
-                     QuadratureError, SchemeInstabilityError)
-from .models import CTMC2Drift, ModelParams, NonlinearFilter, validate
+from .ctmc import _drift
+from .errors import (NumericError, OutsideSupportError, QuadratureError,
+                     SchemeInstabilityError, ValidationError)
+from .models import ModelParams, NonlinearFilter
 
 GAMMA_DOMAIN_MAX = 60.0
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, 60], relative error well under 1e-10."""
-    if not (0.0 < x <= GAMMA_DOMAIN_MAX):
-        raise ValueError(f"gamma_fn domain is (0, {GAMMA_DOMAIN_MAX}], got {x}")
-    return math.gamma(x)
-
-
-def _ctmc(params: ModelParams) -> CTMC2Drift:
-    validate(params)
-    d = params.drift
-    if not isinstance(d, CTMC2Drift):
-        raise TypeError("filter machinery requires a two-state Markov drift")
-    return d
+# CFL number of the transport march: each step obeys
+# dt * (s(t)/dxi + max(alpha, beta)) <= CFL
+CFL = 0.9
 
 
 @dataclass(frozen=True)
@@ -62,23 +51,16 @@ class QDecomposition:
         return d.rho1 * w, d.rho2 * w
 
     def phi_params(self, t: float) -> tuple[float, float]:
-        """(mean, variance) of the Gaussian part at time t."""
+        """(mean, variance) of the Gaussian part at time t; t = math.inf
+        gives the limit law."""
         lam, sig2 = self.params.lam, self.params.sigma**2
         mean = -sig2 * (1.0 - math.exp(-lam * t)) / (2.0 * lam)
         var = sig2 * (1.0 - math.exp(-2.0 * lam * t)) / (2.0 * lam)
         return mean, var
 
     def phi(self, t: float, x):
+        """Density of the Gaussian part at time t (or math.inf)."""
         mean, var = self.phi_params(t)
-        x = np.asarray(x, dtype=float)
-        return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-    def phi_inf_params(self) -> tuple[float, float]:
-        lam, sig2 = self.params.lam, self.params.sigma**2
-        return -sig2 / (2.0 * lam), sig2 / (2.0 * lam)
-
-    def phi_inf(self, x):
-        mean, var = self.phi_inf_params()
         x = np.asarray(x, dtype=float)
         return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
@@ -161,7 +143,7 @@ class StationaryLaw:
     d: float = field(init=False)
 
     def __post_init__(self):
-        dr = _ctmc(self.params)
+        dr = _drift(self.params)
         lam = self.params.lam
         a = dr.alpha / lam
         b = dr.beta / lam
@@ -215,7 +197,7 @@ class StationaryLaw:
 
 def stationary_law(params: ModelParams) -> StationaryLaw:
     """Build the limit law; exponents must stay inside the Gamma domain."""
-    dr = _ctmc(params)
+    dr = _drift(params)
     for name, val in (("alpha/lambda", dr.alpha / params.lam),
                       ("beta/lambda", dr.beta / params.lam)):
         if not (0.0 < val <= GAMMA_DOMAIN_MAX):
@@ -225,21 +207,20 @@ def stationary_law(params: ModelParams) -> StationaryLaw:
     return StationaryLaw(params=params)
 
 
-def p_q_infinity(params: ModelParams, x, law: StationaryLaw | None = None,
-                 n_nodes: int = 192) -> tuple[np.ndarray, np.ndarray]:
+def p_q_infinity(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     """Limit conditional densities of Q given each starting state.
 
     p_inf = (Beta(a, b+1) law of the drift integral) convolved with the
     Gaussian part; q_inf likewise with Beta(a+1, b). Gauss-Jacobi nodes
     carry the (possibly unbounded) Beta endpoint weights exactly.
     """
-    law = stationary_law(params) if law is None else law
+    law = stationary_law(params)
     q = QDecomposition(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    zp, wp = law.nodes(0.0, 1.0, n_nodes)
-    zq, wq = law.nodes(1.0, 0.0, n_nodes)
-    p = q.phi_inf(x[:, None] - zp[None, :]) @ wp
-    qq = q.phi_inf(x[:, None] - zq[None, :]) @ wq
+    zp, wp = law.nodes(0.0, 1.0)
+    zq, wq = law.nodes(1.0, 0.0)
+    p = q.phi(math.inf, x[:, None] - zp[None, :]) @ wp
+    qq = q.phi(math.inf, x[:, None] - zq[None, :]) @ wq
     return p, qq
 
 
@@ -253,7 +234,7 @@ class UVGrid:
     are lo(t) + xi * (hi(t) - lo(t)). u rows carry the left-endpoint atom
     exp(-alpha t) as their first value; v rows end at 1 including the
     right-endpoint atom exp(-beta t). steps is the number of explicit steps
-    the march took and cfl_eff the CFL number it stepped at.
+    the march took.
     """
 
     params: ModelParams
@@ -262,7 +243,6 @@ class UVGrid:
     u: np.ndarray
     v: np.ndarray
     steps: int
-    cfl_eff: float
 
     def support(self, t: float) -> tuple[float, float]:
         return QDecomposition(self.params).support(t)
@@ -277,18 +257,17 @@ class UVGrid:
         lo, hi = self.support(t)
         return lo + self.xi * (hi - lo)
 
-    def u_at(self, t: float, x) -> np.ndarray:
-        """u(t, x) by linear interpolation in the physical coordinate."""
+    def _at(self, cdf: np.ndarray, t: float, x) -> np.ndarray:
+        """cdf(t, x) by linear interpolation in the physical coordinate."""
         i = self.row(t)
         xs = self.x_physical(self.times[i])
-        return np.interp(np.asarray(x, dtype=float), xs, self.u[i],
-                         left=0.0, right=1.0)
+        return np.interp(np.asarray(x, dtype=float), xs, cdf[i], left=0.0, right=1.0)
+
+    def u_at(self, t: float, x) -> np.ndarray:
+        return self._at(self.u, t, x)
 
     def v_at(self, t: float, x) -> np.ndarray:
-        i = self.row(t)
-        xs = self.x_physical(self.times[i])
-        return np.interp(np.asarray(x, dtype=float), xs, self.v[i],
-                         left=0.0, right=1.0)
+        return self._at(self.v, t, x)
 
     def to_csv(self, path) -> None:
         """Write rows (t, x_physical, u, v) for every snapshot and grid node."""
@@ -300,55 +279,33 @@ class UVGrid:
                     fh.write(f"{float(t)!r},{float(xs[j])!r},{float(self.u[i, j])!r},{float(self.v[i, j])!r}\n")
 
 
-def _auto_steps(params: ModelParams, t0: float, t_max: float, nx: int,
-                cfl: float) -> int:
-    """Step count the adaptive CFL ladder needs from t0 to t_max."""
-    d = params.drift
-    lam = params.lam
-    dxi = 1.0 / (nx - 1)
-    rate = max(d.alpha, d.beta)
-    # sum dt * (s(t)/dxi + rate) <= cfl per step; integral of s is log(e^{lam t}-1)
-    advect = (np.log(np.expm1(lam * t_max)) - np.log(np.expm1(lam * t0))) / dxi
-    return int(np.ceil((advect + rate * (t_max - t0)) / cfl)) + 1
-
-
 def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
-                 nt: int | None = None, cfl: float = 0.9,
                  snapshot_times=None) -> UVGrid:
     """March the conditional c.d.f.s to t_max with first-order upwinding.
 
     The moving support is mapped to xi in [0, 1], where the transport speeds
     become -xi * s(t) for u (inflow at xi = 1) and (1 - xi) * s(t) for v
     (inflow at xi = 0), s(t) = lambda / (1 - e^{-lambda t}). Explicit Euler
-    steps obey dt * (s/dxi + max(alpha, beta)) <= cfl, which keeps the
-    update a convex combination (monotone, range-preserving). Boundary
-    values are imposed exactly each step.
-
-    nt, when given, is the total step budget; fewer steps than the CFL
-    ladder requires raises CFLViolationError, more simply refines uniformly.
+    steps obey dt * (s/dxi + max(alpha, beta)) <= CFL at the fixed CFL =
+    0.9, which keeps the update a convex combination (monotone,
+    range-preserving); each step is as long as that bound allows, clipped
+    to land on the next snapshot time. Boundary values are imposed exactly
+    each step.
     """
-    d = _ctmc(params)
+    d = _drift(params)
     if nx < 64:
-        raise ValueError(f"nx must be >= 64, got {nx}")
-    if not (0 < cfl <= 1.0):
-        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+        raise ValidationError([("pde.nx", "nx_too_small", f"nx must be >= 64, got {nx}")])
     lam = params.lam
     t0 = 1e-3 / max(lam, d.alpha, d.beta, 1.0)
-    if not (t_max > t0):
-        raise ValueError(f"t_max must exceed the startup time {t0:.2e}")
-
-    cfl_eff = cfl
-    if nt is not None:
-        n_auto = _auto_steps(params, t0, t_max, nx, cfl)
-        if nt < n_auto:
-            raise CFLViolationError(
-                f"nt = {nt} below the {n_auto} steps required by the CFL bound "
-                f"(cfl = {cfl}, nx = {nx})")
-        cfl_eff = cfl * n_auto / nt
+    if not (t0 < t_max < math.inf):
+        raise ValidationError([("pde.t_max", "t_max_out_of_range",
+                                f"t_max must be finite and exceed the startup time "
+                                f"{t0:.2e}, got {t_max}")])
 
     snaps = sorted(set(float(t) for t in (snapshot_times if snapshot_times is not None else [t_max])))
     if any(not (t0 < t <= t_max) for t in snaps):
-        raise ValueError(f"snapshot times must lie in ({t0:.2e}, {t_max}]")
+        raise ValidationError([("pde.snapshot_times", "snapshot_out_of_range",
+                                f"snapshot times must lie in ({t0:.2e}, {t_max}], got {snaps}")])
 
     xi = np.linspace(0.0, 1.0, nx)
     dxi = xi[1] - xi[0]
@@ -377,7 +334,7 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
     for target in snaps:
         while t < target:
             s = lam / (-math.expm1(-lam * t))
-            dt = min(cfl_eff / (s / dxi + rate), target - t)
+            dt = min(CFL / (s / dxi + rate), target - t)
             np.subtract(w[1:], w[:-1], out=diff[:-1])
             np.divide(diff[:-1], dxi, out=diff[:-1])
             np.multiply(speed, s, out=flow)
@@ -399,25 +356,19 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
 
     grid = UVGrid(params=params, xi=xi, times=np.asarray(out_t),
                   u=np.asarray(out_u), v=np.asarray(out_v),
-                  steps=steps, cfl_eff=cfl_eff)
-    _check_grid(grid)
-    return grid
-
-
-def _check_grid(grid: UVGrid, tol: float = 1e-9) -> None:
+                  steps=steps)
     for name, arr in (("u", grid.u), ("v", grid.v)):
-        if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+        if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
             raise SchemeInstabilityError(f"{name} left [0, 1] beyond tolerance")
-        if np.any(np.diff(arr, axis=1) < -tol):
+        if np.any(np.diff(arr, axis=1) < -1e-9):
             raise SchemeInstabilityError(f"{name} is non-monotone beyond tolerance")
+    return grid
 
 
 # --- conditional densities and the filter --------------------------------------
 
 def conditional_densities(params: ModelParams, t: float, x,
-                          grid: UVGrid | None = None,
-                          law: StationaryLaw | None = None,
-                          nx: int = 512, n_nodes: int = 192):
+                          grid: UVGrid | None = None):
     """Densities p(t, x), q(t, x) of Q_t given the low/high starting state.
 
     Finite t: Stieltjes convolution of the grid c.d.f. increments with
@@ -428,11 +379,11 @@ def conditional_densities(params: ModelParams, t: float, x,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if math.isinf(t):
-        p, q = p_q_infinity(params, x, law=law, n_nodes=n_nodes)
+        p, q = p_q_infinity(params, x)
     else:
-        d = _ctmc(params)
+        d = _drift(params)
         if grid is None:
-            grid = solve_uv_pde(params, t_max=t, nx=nx, snapshot_times=[t])
+            grid = solve_uv_pde(params, t_max=t, snapshot_times=[t])
         qd = QDecomposition(params)
         i = grid.row(t)
         xs = grid.x_physical(grid.times[i])
@@ -451,17 +402,15 @@ def conditional_densities(params: ModelParams, t: float, x,
 
 
 def filter_expectation(params: ModelParams, t: float, x,
-                       grid: UVGrid | None = None,
-                       law: StationaryLaw | None = None,
-                       n_nodes: int = 192):
+                       grid: UVGrid | None = None):
     """E[mu_0 | Q_t = x] = (rho1 beta p + rho2 alpha q) / (beta p + alpha q).
 
     Accepts t = math.inf for the stationary filter. Raises
     OutsideSupportError where both densities have fully underflowed.
     """
-    d = _ctmc(params)
+    d = _drift(params)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    p, q = conditional_densities(params, t, x_arr, grid=grid, law=law, n_nodes=n_nodes)
+    p, q = conditional_densities(params, t, x_arr, grid=grid)
     wp = d.beta * np.maximum(p, 0.0)
     wq = d.alpha * np.maximum(q, 0.0)
     total = wp + wq
@@ -473,28 +422,26 @@ def filter_expectation(params: ModelParams, t: float, x,
     return out if np.ndim(x) else float(out[0])
 
 
-def g_infinity(params: ModelParams, x, law: StationaryLaw | None = None,
-               n_nodes: int = 192):
+def g_infinity(params: ModelParams, x):
     """Stationary optimal weight: E[mu_0 | Q_inf = x] / sigma^2."""
-    val = filter_expectation(params, math.inf, x, law=law, n_nodes=n_nodes)
+    val = filter_expectation(params, math.inf, x)
     return val / params.sigma**2
 
 
-def filter_strategy(params: ModelParams, n_grid: int = 4001,
-                    pad_sigmas: float = 12.0) -> NonlinearFilter:
+def filter_strategy(params: ModelParams) -> NonlinearFilter:
     """Tabulated g_infinity as a total, vectorized strategy evaluator.
 
-    Evaluated once on a wide grid and linearly interpolated; beyond the
-    grid the filter saturates at its exact asymptotes rho1/sigma^2 and
+    Evaluated once on 4001 points spanning the shifted support plus 12
+    Gaussian widths each side and linearly interpolated; beyond the grid
+    the filter saturates at its exact asymptotes rho1/sigma^2 and
     rho2/sigma^2, so the evaluator is total on R.
     """
-    d = _ctmc(params)
+    d = _drift(params)
     law = stationary_law(params)
-    qd = QDecomposition(params)
-    mean, var = qd.phi_inf_params()
-    pad = pad_sigmas * math.sqrt(var)
-    zs = np.linspace(law.lo + mean - pad, law.hi + mean + pad, n_grid)
-    gs = g_infinity(params, zs, law=law)
+    mean, var = QDecomposition(params).phi_params(math.inf)
+    pad = 12.0 * math.sqrt(var)
+    zs = np.linspace(law.lo + mean - pad, law.hi + mean + pad, 4001)
+    gs = g_infinity(params, zs)
     lo_w, hi_w = d.rho1 / params.sigma**2, d.rho2 / params.sigma**2
 
     def g(z: np.ndarray) -> np.ndarray:
@@ -504,21 +451,22 @@ def filter_strategy(params: ModelParams, n_grid: int = 4001,
 
 
 def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
-                         n_outer: int = 4096, pad_sigmas: float = 8.0,
-                         tail_tol: float = 1e-9) -> float:
+                         n_outer: int = 4096) -> float:
     """Long-run log growth of the stationary filter weight:
 
         prefactor * int [ (int z l(z) phi_inf(y - z) dz)^2
                           / int l(z) phi_inf(y - z) dz ] dy,
 
     prefactor = c beta lambda^2 (rho2 - rho1) / (2 sigma^2 (alpha + beta)).
-    The outer integral is truncated pad_sigmas Gaussian widths beyond the
-    shifted support; the Gaussian tail estimate guards the truncation.
+    The outer integral is truncated 8 Gaussian widths beyond the shifted
+    support; the Gaussian tail estimate, which must stay below 1e-9
+    relative, guards the truncation.
     """
-    d = _ctmc(params)
+    pad_sigmas = 8.0
+    d = _drift(params)
     law = stationary_law(params)
     qd = QDecomposition(params)
-    mean, var = qd.phi_inf_params()
+    mean, var = qd.phi_params(math.inf)
     sd = math.sqrt(var)
 
     # inner integrals as expectations under the unconditional Beta law
@@ -543,7 +491,7 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     ys = (mids[:, None] + half[:, None] * gl_x[None, :]).ravel()
     wy = (half[:, None] * gl_w[None, :]).ravel()
 
-    phi = qd.phi_inf(ys[:, None] - z_nodes[None, :])
+    phi = qd.phi(math.inf, ys[:, None] - z_nodes[None, :])
     N = phi @ w
     M = phi @ (w * z_nodes)
     integrand = np.where(N > 0.0, M * M / np.where(N > 0.0, N, 1.0), 0.0)
@@ -553,7 +501,7 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     zmax = max(abs(law.lo), abs(law.hi))
     tail_mass = math.erfc(pad_sigmas / math.sqrt(2.0))
     tail = prefactor * norm * zmax**2 * tail_mass
-    if tail > tail_tol * max(abs(value), 1.0):
+    if tail > 1e-9 * max(abs(value), 1.0):
         raise QuadratureError(
             f"outer integral truncation too coarse (tail estimate {tail:.3e})",
             achieved_tol=tail)

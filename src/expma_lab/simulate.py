@@ -84,16 +84,6 @@ class PathBundle:
         h.update(self.x.tobytes())
         return h.hexdigest()[:16]
 
-    def dump_csv(self, path, max_paths: int = 5) -> None:
-        """Debug dump of the first `max_paths` paths: path, step, X, Y, Z, mu."""
-        k = min(max_paths, self.n_paths)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path,step,X,Y,Z,mu\n")
-            for p in range(k):
-                for i in range(self.n_steps + 1):
-                    fh.write(f"{p},{i},{float(self.x[p, i])!r},{float(self.y[p, i])!r},"
-                             f"{float(self.z[p, i])!r},{float(self.mu[p, i])!r}\n")
-
 
 def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
     """Daily ExpMA of `x` along its last axis, written into `out`; starts at 0."""

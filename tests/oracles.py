@@ -219,18 +219,13 @@ def reference_ledger(bundle, strategy, omega):
                            strategy_name=strategy.name)
 
 
-def reference_uv_march(params, t_max, nx=512, nt=None, cfl=0.9, snapshot_times=None):
+def reference_uv_march(params, t_max, nx=512, snapshot_times=None):
     """The transport march with separate u and v arrays and fresh
-    temporaries every step: (times, u, v) at the snapshot times. The
-    reference `solve_uv_pde` is compared against, bit for bit."""
-    from expma_lab.regime_filter import _auto_steps
-
+    temporaries every step, at CFL 0.9: (times, u, v) at the snapshot times.
+    The reference `solve_uv_pde` is compared against, bit for bit."""
     d = params.drift
     lam = params.lam
     t0 = 1e-3 / max(lam, d.alpha, d.beta, 1.0)
-    cfl_eff = cfl
-    if nt is not None:
-        cfl_eff = cfl * _auto_steps(params, t0, t_max, nx, cfl) / nt
     snaps = sorted(set(float(t) for t in (snapshot_times if snapshot_times is not None else [t_max])))
 
     xi = np.linspace(0.0, 1.0, nx)
@@ -248,7 +243,7 @@ def reference_uv_march(params, t_max, nx=512, nt=None, cfl=0.9, snapshot_times=N
         target = pending.pop(0)
         while t < target:
             s = lam / (-math.expm1(-lam * t))
-            dt = min(cfl_eff / (s / dxi + rate), target - t)
+            dt = min(0.9 / (s / dxi + rate), target - t)
             # u: leftward characteristics, difference toward xi+
             du = np.empty_like(u)
             du[:-1] = (u[1:] - u[:-1]) / dxi

@@ -187,7 +187,7 @@ def test_criterion_8_filter_suite(ctmc_params, ctmc_gentle_params):
 
         # filter: monotone, inside [rho1, rho2]
         qd = xl.QDecomposition(p)
-        mean, var = qd.phi_inf_params()
+        mean, var = qd.phi_params(math.inf)
         zs = np.linspace(law.lo + mean - 6 * math.sqrt(var),
                          law.hi + mean + 6 * math.sqrt(var), 501)
         f = xl.filter_expectation(p, math.inf, zs)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_horizon_sweep_reuses_seed():
     assert [r.sweep_value for r in rs.rows] == [3.0, 6.0]
     assert rs.rows[0].metrics.n_steps == 63
     assert rs.rows[1].metrics.n_steps == 126
+
+
+@pytest.mark.parametrize("values, code", [([6.0, 0.01], "n_steps_too_small"),
+                                          ([6.0, math.inf], "nonfinite_horizon")])
+def test_horizon_sweep_validates_every_value_before_simulating(monkeypatch, values, code):
+    def never(*a, **kw):
+        raise AssertionError("simulated before every sweep value was validated")
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths", never)
+    d = config_dict(experiment="horizon_sweep", n_paths=300, sweep_values=values)
+    with pytest.raises(xl.ValidationError) as exc:
+        run_experiment(ExperimentConfig.from_dict(d))
+    assert exc.value.codes == [code]
 
 
 def test_ctmc_performance_panel():
@@ -250,6 +264,46 @@ def test_cli_exit_codes(tmp_path):
     # signal without input
     sig = write_config(tmp_path, config_dict(experiment="signal"), "sig.json")
     assert cli_main(["signal", "--config", sig]) == 2
+
+
+def test_cli_resource_limit_is_config_error(tmp_path, capsys):
+    d = config_dict(experiment="cost_sweep", n_paths=100_000, horizon=24.0,
+                    sweep_values=[0.0, 0.001])
+    cfg = write_config(tmp_path, d)
+    tracemalloc.start()
+    try:
+        rc = cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "exceeds" in capsys.readouterr().err
+    # the size check runs before any 404 MB path array is allocated
+    assert peak < 10_000_000
+
+
+def _ctmc_pde_config(**pde):
+    d = config_dict(experiment="pde")
+    d["params"] = {"drift": {"type": "ctmc2", "rho1": -0.2, "rho2": 0.3,
+                             "alpha": 1.0, "beta": 1.0}, "sigma": 0.2, "lambda": 2.5}
+    d["pde"] = {"t_max": 0.5, "nx": 128, "snapshot_times": [0.25, 0.5], **pde}
+    return d
+
+
+@pytest.mark.parametrize("command, d", [
+    ("sweep", config_dict(experiment="lambda_sweep", sweep_values=["abc"])),
+    ("sweep", config_dict(experiment="lambda_sweep", sweep_values=0.1)),
+    ("pde", _ctmc_pde_config(nx="abc")),
+    ("pde", _ctmc_pde_config(t_max="abc")),
+    ("pde", _ctmc_pde_config(nx=16)),
+    ("pde", _ctmc_pde_config(snapshot_times=[99.0])),
+    ("pde", _ctmc_pde_config(t_max=math.inf, snapshot_times=None)),
+], ids=["sweep_value_text", "sweep_values_scalar", "pde_nx_text", "pde_t_max_text",
+        "pde_nx_small", "pde_snapshot_beyond_t_max", "pde_t_max_infinite"])
+def test_cli_malformed_config_fields_exit_2(tmp_path, capsys, command, d):
+    cfg = write_config(tmp_path, d)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, field, value, code", [

@@ -133,15 +133,6 @@ def test_ctmc_bundle_moments(ctmc_params):
         3 * z.var() * math.sqrt(2.0 / n) * 1.3 + bias_factor * (m.n4 - m.n2**2)
 
 
-def test_dump_csv(tmp_path, benchmark_params):
-    b = simulate_paths(benchmark_params, small_config(n_paths=4, horizon_months=0.5))
-    out = tmp_path / "paths.csv"
-    b.dump_csv(out, max_paths=2)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,step,X,Y,Z,mu"
-    assert len(lines) == 1 + 2 * (b.n_steps + 1)
-
-
 # --- rebalancing algebra ----------------------------------------------------------
 
 def test_delta_costfree_formula():
