@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep", help="run the configured one-factor sweep"))
     pd = sub.add_parser("pde", help="solve and export the conditional-c.d.f. grid")
     common(pd)
-    pd.add_argument("--t-max", type=float, default=None)
+    pd.add_argument("--t-max", type=float, default=None,
+                    help="end of the march, recorded besides the config's snapshot_times")
     pd.add_argument("--nx", type=int, default=None)
     common(sub.add_parser("growth", help="emit the long-run growth-rate table"))
     sg = sub.add_parser("signal", help="compute signal/weights from a price CSV")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._expsum import ExpSum
 from .errors import NumericError
-from .models import CTMC2Drift, ModelParams, validate
+from .models import CTMC2Drift, ModelParams
 from .ou import ABCD, optimal_affine_from_abcd
 
 
@@ -56,7 +56,6 @@ class CTMCLimits:
 
 
 def _drift(params: ModelParams) -> CTMC2Drift:
-    validate(params)
     d = params.drift
     if not isinstance(d, CTMC2Drift):
         raise TypeError("this operation requires a two-state Markov drift")

@@ -25,11 +25,20 @@ from . import regime_filter
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, compute_metrics
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
-                     Strategy, TimeVaryingAffine, validate, validate_sim)
+                     Strategy, TimeVaryingAffine)
 from .simulate import expma, run_strategy, simulate_paths
 
 EXPERIMENTS = ("performance", "lambda_sweep", "horizon_sweep", "vol_sweep",
                "cost_sweep", "pde", "growth_rates", "signal")
+
+# sweep experiment -> (swept parameter, the (params, sim) run at sweep value v)
+SWEEPS = {
+    "lambda_sweep": ("lambda", lambda c, v: (c.params.with_lambda(v), c.sim)),
+    "vol_sweep": ("sigma", lambda c, v: (c.params.with_sigma(v), c.sim)),
+    "horizon_sweep": ("horizon_months",
+                      lambda c, v: (c.params, replace(c.sim, horizon_months=v))),
+    "cost_sweep": ("omega", lambda c, v: (c.params, replace(c.sim, omega=v))),
+}
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",
                "total_return", "avg_daily_return", "sharpe", "log_growth",
@@ -86,7 +95,7 @@ class ExperimentConfig:
             raise
         except KeyError as exc:
             raise ConfigError(f"config missing required section: {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config field: {exc}") from exc
 
     @classmethod
@@ -104,20 +113,11 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose one of {EXPERIMENTS}")
-        validate(self.params)
-        validate_sim(self.sim)
-        if self.experiment.endswith("_sweep"):
+        if self.experiment in SWEEPS:
             if not self.sweep_values:
                 raise ConfigError(f"{self.experiment} requires non-empty sweep_values")
             for v in self.sweep_values:
-                if self.experiment == "lambda_sweep":
-                    validate(self.params.with_lambda(v))
-                elif self.experiment == "vol_sweep":
-                    validate(self.params.with_sigma(v))
-                elif self.experiment == "horizon_sweep":
-                    validate_sim(replace(self.sim, horizon_months=v))
-                elif self.experiment == "cost_sweep" and not (0.0 <= v < 1.0):
-                    raise ConfigError(f"cost sweep value must be in [0, 1), got {v}")
+                SWEEPS[self.experiment][1](self, v)
         if self.experiment == "signal" and not self.signal_input:
             raise ConfigError("signal experiment requires signal_input")
         if self.experiment == "pde":
@@ -261,9 +261,9 @@ def run_experiment(config: ExperimentConfig) -> ReportSet:
     md = _metadata(config)
     handler = {
         "performance": _run_performance,
-        "lambda_sweep": _run_lambda_sweep,
-        "horizon_sweep": _run_horizon_sweep,
-        "vol_sweep": _run_vol_sweep,
+        "lambda_sweep": _sweep_rows,
+        "horizon_sweep": _sweep_rows,
+        "vol_sweep": _sweep_rows,
         "cost_sweep": _run_cost_sweep,
         "growth_rates": _run_growth_rates,
         "pde": _run_pde,
@@ -283,12 +283,11 @@ def _run_performance(config: ExperimentConfig, md: dict) -> ReportSet:
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
-def _sweep_rows(config: ExperimentConfig, md: dict, param_name: str,
-                make_params, make_sim) -> ReportSet:
+def _sweep_rows(config: ExperimentConfig, md: dict) -> ReportSet:
+    param_name, variant = SWEEPS[config.experiment]
     rows = []
     for v in config.sweep_values:
-        p = make_params(v)
-        s = make_sim(v)
+        p, s = variant(config, v)
         bundle = simulate_paths(p, s)
         md["bundle_hashes"].append(bundle.identity_hash())
         strategies = [("growth", _growth_strategy(p))]
@@ -300,29 +299,16 @@ def _sweep_rows(config: ExperimentConfig, md: dict, param_name: str,
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
-def _run_lambda_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
-    return _sweep_rows(config, md, "lambda",
-                       lambda v: config.params.with_lambda(v), lambda v: config.sim)
-
-
-def _run_vol_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
-    return _sweep_rows(config, md, "sigma",
-                       lambda v: config.params.with_sigma(v), lambda v: config.sim)
-
-
-def _run_horizon_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
-    return _sweep_rows(config, md, "horizon_months", lambda v: config.params,
-                       lambda v: replace(config.sim, horizon_months=v))
-
-
 def _run_cost_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
+    """One bundle serves every cost rate: paths do not depend on omega."""
     bundle = simulate_paths(config.params, config.sim)
     md["bundle_hashes"].append(bundle.identity_hash())
     growth = _growth_strategy(config.params)
-    rows = [ReportRow("cost_sweep", "growth", "omega", omega,
-                      compute_metrics(run_strategy(bundle, growth, omega), config.sim))
-            for omega in config.sweep_values]
-    rows.append(ReportRow("cost_sweep", "buy_hold", "omega", 0.0,
+    param_name, variant = SWEEPS["cost_sweep"]
+    sims = [variant(config, omega)[1] for omega in config.sweep_values]
+    rows = [ReportRow("cost_sweep", "growth", param_name, s.omega,
+                      compute_metrics(run_strategy(bundle, growth, s.omega), s)) for s in sims]
+    rows.append(ReportRow("cost_sweep", "buy_hold", param_name, 0.0,
                           compute_metrics(run_strategy(bundle, BuyAndHold(), 0.0), config.sim)))
     return ReportSet(rows=tuple(rows), metadata=md)
 
@@ -353,9 +339,9 @@ def _run_growth_rates(config: ExperimentConfig, md: dict) -> ReportSet:
 
 
 def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
-    snaps = config.pde_snapshots or (config.pde_t_max,)
     grid = regime_filter.solve_uv_pde(config.params, t_max=config.pde_t_max,
-                                      nx=config.pde_nx, snapshot_times=snaps)
+                                      nx=config.pde_nx,
+                                      snapshot_times=config.pde_snapshots or ())
     md["pde_steps"] = grid.steps
     md["pde_cfl_eff"] = regime_filter.CFL
     os.makedirs(config.out_dir, exist_ok=True)
@@ -363,7 +349,7 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
     grid.to_csv(path)
     return ReportSet(rows=(), metadata=md,
                      extras={"uv_grid_csv": path, "nx": config.pde_nx,
-                             "snapshot_times": list(snaps)})
+                             "snapshot_times": grid.times.tolist()})
 
 
 def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:

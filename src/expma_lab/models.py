@@ -96,11 +96,16 @@ Drift = Union[OUDrift, CTMC2Drift]
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Market model: a drift specification plus price volatility and ExpMA rate."""
+    """Market model: a drift specification plus price volatility and ExpMA rate.
+
+    Every way of making one runs `validate`, so every instance is valid."""
 
     drift: Drift
     sigma: float
     lam: float  # ExpMA decay rate; serialized as "lambda"
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def is_ou(self) -> bool:
@@ -150,7 +155,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretization and ensemble settings for the Monte Carlo engine."""
+    """Discretization and ensemble settings for the Monte Carlo engine;
+    making one runs `validate_sim`."""
 
     horizon_months: float
     n_paths: int
@@ -159,6 +165,9 @@ class SimConfig:
     omega: float = 0.0
     x0: float = 0.0
     pi0: float = 1.0
+
+    def __post_init__(self):
+        validate_sim(self)
 
     @property
     def n_steps(self) -> int:
@@ -178,7 +187,7 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         try:
-            return cls(
+            fields = dict(
                 horizon_months=float(d["horizon_months"]),
                 n_paths=int(d["n_paths"]),
                 seed=int(d["seed"]),
@@ -187,8 +196,9 @@ class SimConfig:
                 x0=float(d.get("x0", 0.0)),
                 pi0=float(d.get("pi0", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError([("sim", "schema", f"missing/invalid field: {exc}")]) from exc
+        return cls(**fields)
 
 
 # --- strategies -------------------------------------------------------------

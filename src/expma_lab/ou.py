@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expsum import ExpSum
-from .errors import DegenerateZProcessError, QuadratureError
-from .models import DEFAULT_DT, ModelParams, OUDrift, validate
+from .errors import DegenerateZProcessError, NumericError, QuadratureError
+from .models import DEFAULT_DT, ModelParams, OUDrift
 
 # Frozen convergence tolerances for the "days until the time-varying affine
 # coefficients settle at their limits" readout. Calibrated once against the
@@ -162,7 +162,6 @@ class OUCoefficients:
 
 def ou_moments(params: ModelParams, t) -> OUMomentSet:
     """Evaluate the five OU signal moments at time(s) t >= 0 (months)."""
-    validate(params)
     return OUCoefficients.from_params(params).moments(t)
 
 
@@ -181,7 +180,6 @@ def ou_abcd(params: ModelParams, T: float, *, benchmark_c: bool = False) -> ABCD
     the exact integral at monthly equity scales but is NOT E[Z^2]'s
     integral and loses the positivity guarantee far from that regime.
     """
-    validate(params)
     if not (T > 0):
         raise ValueError(f"T must be > 0, got {T}")
     co = OUCoefficients.from_params(params)
@@ -247,7 +245,6 @@ def optimal_c2_coefficients(params: ModelParams, t):
     At t = 0 the ratio is 0/0; the analytic limits v1(0)/sigma^4 and
     m1(0)/sigma^2 are returned there. Accepts scalar or array t.
     """
-    validate(params)
     co = OUCoefficients.from_params(params)
     sig2 = params.sigma**2
     t_arr = np.asarray(t, dtype=float)
@@ -271,7 +268,6 @@ def optimal_c2_coefficients(params: ModelParams, t):
 
 def growth_limit_affine(params: ModelParams) -> tuple[float, float]:
     """(a_inf, b_inf) = lim t->inf of (a2*(t), b2*(t)); the growth-optimal weight."""
-    validate(params)
     d = params.drift
     kap, lam, sig2 = d.kappa, params.lam, params.sigma**2
     a_inf = (lam * d.delta**2 / sig2) / (kap * (kap + lam) * sig2 + d.delta**2)
@@ -286,7 +282,6 @@ def eta(params: ModelParams, lam: float | None = None) -> float:
               lambda / (kappa sigma^2 (kappa+lambda)^2 + (kappa+lambda) delta^2)
               + mu_bar^2 / (2 sigma^2).
     """
-    validate(params)
     d = params.drift
     L = params.lam if lam is None else float(lam)
     if not (L > 0):
@@ -299,14 +294,12 @@ def eta(params: ModelParams, lam: float | None = None) -> float:
 
 def hat_lambda(params: ModelParams) -> float:
     """The growth-rate-maximizing ExpMA rate: sqrt(kappa^2 + delta^2/sigma^2)."""
-    validate(params)
     d = params.drift
     return math.sqrt(d.kappa**2 + (d.delta / params.sigma) ** 2)
 
 
 def eta_upper_bound(params: ModelParams) -> float:
     """Sharp upper bound of eta over lambda; attained exactly at hat_lambda."""
-    validate(params)
     d = params.drift
     kap, sig = d.kappa, params.sigma
     d2 = d.delta**2
@@ -323,7 +316,6 @@ def full_information_rate(params: ModelParams) -> float:
 
         xi = delta^2 / (4 kappa sigma^2) + mu_bar^2 / (2 sigma^2).
     """
-    validate(params)
     d = params.drift
     sig2 = params.sigma**2
     return float(d.delta**2 / (4.0 * d.kappa * sig2) + d.mu_bar**2 / (2.0 * sig2))
@@ -358,7 +350,6 @@ def value_functions(params: ModelParams, T: float) -> ValueFunctions:
     """
     from scipy import integrate
 
-    validate(params)
     if not (T > 0):
         raise ValueError(f"T must be > 0, got {T}")
     co = OUCoefficients.from_params(params)
@@ -417,7 +408,8 @@ def convergence_day(params: ModelParams, coefficient: str,
         tol = B2_CONVERGENCE_RTOL
     inside = rel < tol
     if not inside[-1]:
-        raise ValueError(f"coefficient never settles within {tol} over {days.size} days")
+        raise NumericError(f"the {coefficient} coefficient is not within relative tolerance "
+                           f"{tol:g} of its limit by day {days[-1]}, the last day scanned")
     # last index that is still outside, +1 day after it
     outside = np.nonzero(~inside)[0]
     return int(days[outside[-1] + 1]) if outside.size else int(days[0])

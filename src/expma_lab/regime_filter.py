@@ -36,6 +36,8 @@ GAMMA_DOMAIN_MAX = 60.0
 # CFL number of the transport march: each step obeys
 # dt * (s(t)/dxi + max(alpha, beta)) <= CFL
 CFL = 0.9
+# Most steps a transport march may take; a longer one is rejected unstarted.
+MAX_PDE_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ class UVGrid:
 
 
 def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
-                 snapshot_times=None) -> UVGrid:
+                 snapshot_times=()) -> UVGrid:
     """March the conditional c.d.f.s to t_max with first-order upwinding.
 
     The moving support is mapped to xi in [0, 1], where the transport speeds
@@ -290,7 +292,8 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
     0.9, which keeps the update a convex combination (monotone,
     range-preserving); each step is as long as that bound allows, clipped
     to land on the next snapshot time. Boundary values are imposed exactly
-    each step.
+    each step. The march always ends at t_max, recorded with the snapshot
+    times, and is rejected unstarted if it may take over MAX_PDE_STEPS.
     """
     d = _drift(params)
     if nx < 64:
@@ -302,14 +305,22 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
                                 f"t_max must be finite and exceed the startup time "
                                 f"{t0:.2e}, got {t_max}")])
 
-    snaps = sorted(set(float(t) for t in (snapshot_times if snapshot_times is not None else [t_max])))
+    snaps = sorted({float(t) for t in snapshot_times} | {float(t_max)})
     if any(not (t0 < t <= t_max) for t in snaps):
         raise ValidationError([("pde.snapshot_times", "snapshot_out_of_range",
                                 f"snapshot times must lie in ({t0:.2e}, {t_max}], got {snaps}")])
 
-    xi = np.linspace(0.0, 1.0, nx)
-    dxi = xi[1] - xi[0]
+    dxi = 1.0 / (nx - 1)  # equals xi[1] - xi[0] of the grid below
     rate = max(d.alpha, d.beta)
+    # At most one step per snapshot is clipped; every other step has dt *
+    # (s(t)/dxi + rate) = CFL, and s(t) <= 1/t + lambda with dt/t <= CFL * dxi
+    # bound the sum of dt * s(t) by (1 + CFL * dxi) ln(t_max/t0) + lambda (t_max - t0).
+    bound = ((1.0 + CFL * dxi) * math.log(t_max / t0) / dxi
+             + (lam / dxi + rate) * (t_max - t0)) / CFL + len(snaps)
+    if bound > MAX_PDE_STEPS:
+        raise ValidationError([("pde.t_max", "too_many_pde_steps",
+                                f"the march may take {bound:.3g} steps, over {MAX_PDE_STEPS}")])
+    xi = np.linspace(0.0, 1.0, nx)
 
     # One state array w = [u, v reversed]: both halves then difference toward
     # the next index, and the v update (speed -(1-xi)s, backward difference)
@@ -383,7 +394,7 @@ def conditional_densities(params: ModelParams, t: float, x,
     else:
         d = _drift(params)
         if grid is None:
-            grid = solve_uv_pde(params, t_max=t, snapshot_times=[t])
+            grid = solve_uv_pde(params, t_max=t)
         qd = QDecomposition(params)
         i = grid.row(t)
         xs = grid.x_physical(grid.times[i])

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (ConfigError, LeverageCostSingularityError,
                      ResourceLimitError, ValidationError)
 from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
-                     Strategy, validate, validate_sim)
+                     Strategy)
 
 MAX_ELEMENTS = 40_000_000  # n_paths * (n_steps + 1) bound per bundle (~1.3 GB of arrays)
 # Target bytes per array in one row block of the wealth ledger, small enough
@@ -205,8 +205,6 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     in chunks that agree bitwise with a single monolithic call. `workers`
     (default: EXPMA_THREADS or 1) parallelizes over disjoint path blocks.
     """
-    validate(params)
-    validate_sim(config)
     n_steps = config.n_steps
     n = config.n_paths
     if n * (n_steps + 1) > MAX_ELEMENTS:

@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import expma_lab as xl
 from expma_lab import (ConfigError, ExperimentConfig, ReportSet, emit,
@@ -114,6 +117,23 @@ def test_horizon_sweep_validates_every_value_before_simulating(monkeypatch, valu
 
     monkeypatch.setattr(xl.experiments, "simulate_paths", never)
     d = config_dict(experiment="horizon_sweep", n_paths=300, sweep_values=values)
+    with pytest.raises(xl.ValidationError) as exc:
+        run_experiment(ExperimentConfig.from_dict(d))
+    assert exc.value.codes == [code]
+
+
+@pytest.mark.parametrize("experiment, values, code", [
+    ("lambda_sweep", [2.0, 0.0226], "kappa_equals_lambda"),
+    ("vol_sweep", [0.0436, 0.0], "nonpositive_sigma"),
+    ("cost_sweep", [0.0, 1.0], "omega_out_of_range"),
+])
+def test_sweep_values_are_checked_by_building_each_variant(monkeypatch, experiment,
+                                                           values, code):
+    def never(*a, **kw):
+        raise AssertionError("simulated before every sweep value was validated")
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths", never)
+    d = config_dict(experiment=experiment, sweep_values=values)
     with pytest.raises(xl.ValidationError) as exc:
         run_experiment(ExperimentConfig.from_dict(d))
     assert exc.value.codes == [code]
@@ -411,3 +431,102 @@ def test_threads_env_var_bitwise_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("EXPMA_THREADS", "3")
     b = run_experiment(cfg_d).to_csv()
     assert a == b
+
+
+# At kappa = 1e-4, lambda = 0.01 the slope a2*(t) is still far from a_inf
+# after the 2000 scanned days, so there is no convergence day to report.
+def test_cli_strategy_unsettled_coefficient_exits_3(tmp_path, capsys):
+    d = json.loads((CONFIGS / "performance.json").read_text())
+    d["params"]["drift"]["kappa"] = 1e-4
+    d["params"]["lambda"] = 0.01
+    assert cli_main(["strategy", "--config", write_config(tmp_path, d)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "slope coefficient" in err and "1.19e-06" in err
+
+
+def test_cli_pde_marches_to_t_max_within_the_step_bound(tmp_path, monkeypatch):
+    """--t-max moves the end of the march even when the config lists
+    snapshot times, and the step bound covers the steps taken: with the
+    limit lowered to the steps a march took, that march is rejected."""
+    runs = {}
+    for t_max in ("8", "40"):
+        argv = ["pde", "--config", str(CONFIGS / "pde.json"), "--t-max", t_max,
+                "--out", str(tmp_path / t_max), "--format", "json"]
+        assert cli_main(argv) == 0
+        rows = (tmp_path / t_max / "uv_grid.csv").read_text().splitlines()[1:]
+        times = sorted({float(row.split(",")[0]) for row in rows})
+        report = json.loads((tmp_path / t_max / "pde_report.json").read_text())
+        steps = report["metadata"]["pde_steps"]
+        with monkeypatch.context() as m:
+            m.setattr(xl.regime_filter, "MAX_PDE_STEPS", steps)
+            assert cli_main(argv) == 2
+        runs[float(t_max)] = (times, steps)
+    assert runs[8.0][0] == [1.0, 2.0, 8.0]
+    assert runs[40.0][0] == [1.0, 2.0, 8.0, 40.0]
+    assert runs[40.0][1] > runs[8.0][1]
+
+
+def test_cli_pde_rejects_a_march_over_the_step_limit(tmp_path, capsys):
+    start = time.perf_counter()
+    rc = cli_main(["pde", "--config", str(CONFIGS / "pde.json"), "--t-max", "1e6",
+                   "--out", str(tmp_path / "p")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "[too_many_pde_steps]" in capsys.readouterr().err
+
+
+# The shipped OU and Markov-drift models and simulation settings; the
+# Hypothesis draws below scale each value by up to three decades.
+OU_RAW = {"kappa": 0.0226, "mu_bar": 0.0034, "delta": 8.2404e-4,
+          "m1_0": 0.0034, "v1_0": 1.5e-5}
+MARKOV_RAW = {"rho1": -0.2, "rho2": 0.3, "alpha": 1.0, "beta": 1.0}
+PARAMS_RAW = {"ou": (OU_RAW, 0.0436, 2.0), "ctmc2": (MARKOV_RAW, 0.2, 2.5)}
+# omega and x0 ship as 0; they scale from 0.001 (the cost sweep) and 1
+SIM_RAW = {"dt": 1 / 21, "horizon_months": 24.0, "n_paths": 10_000,
+           "seed": 20260809, "omega": 0.001, "x0": 1.0, "pi0": 1.0}
+
+
+@st.composite
+def raw_configs(draw):
+    """A `strategy` config dict: every value finite and within three decades
+    of the shipped one, except at most one field set to 0, its negative,
+    +-inf or nan. The initial-law fields m1_0 and v1_0 may be null."""
+    def near(base):
+        return base * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    kind = draw(st.sampled_from(sorted(PARAMS_RAW)))
+    drift_raw, sigma, lam = PARAMS_RAW[kind]
+    drift = {k: near(v) for k, v in drift_raw.items()}
+    for k in ("m1_0", "v1_0"):
+        if k in drift and draw(st.booleans()):
+            drift[k] = None
+    params = {"sigma": near(sigma), "lambda": near(lam)}
+    sim = {k: near(v) for k, v in SIM_RAW.items()}
+    sim["n_paths"], sim["seed"] = int(sim["n_paths"]), int(sim["seed"])
+    fields = [(sec, k) for sec in (drift, params, sim) for k in sorted(sec)]
+    bad = draw(st.sampled_from([None, *range(len(fields))]))
+    if bad is not None:
+        sec, k = fields[bad]
+        special = draw(st.sampled_from(["zero", "negative", "inf", "-inf", "nan"]))
+        if special == "negative":
+            sec[k] = -(sec[k] if sec[k] is not None else 1.0)
+        else:
+            sec[k] = {"zero": 0.0, "inf": math.inf, "-inf": -math.inf,
+                      "nan": math.nan}[special]
+    params["drift"] = {"type": kind, **drift}
+    return {"experiment": "performance", "params": params, "sim": sim}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=raw_configs())
+def test_raw_values_end_in_a_valid_value_or_a_named_error(tmp_path, d):
+    for cls, raw, check in ((xl.ModelParams, d["params"], xl.validate),
+                            (xl.SimConfig, d["sim"], xl.validate_sim)):
+        try:
+            made = cls.from_dict(raw)
+        except (xl.ValidationError, ConfigError):
+            continue
+        assert check(made) is made
+    assert cli_main(["strategy", "--config", write_config(tmp_path, d)]) in (0, 2, 3)

@@ -1,11 +1,15 @@
+import ast
+import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import expma_lab
 from expma_lab import (CTMC2Drift, ConstantAffine, ModelParams, OUDrift,
                        SimConfig, TimeVaryingAffine, ValidationError,
                        period_to_lambda, validate, validate_sim)
@@ -15,31 +19,35 @@ def test_benchmark_params_accepted(benchmark_params):
     assert validate(benchmark_params) is benchmark_params
 
 
-def test_kappa_equals_lambda_named_error():
-    p = ModelParams(drift=OUDrift(kappa=2.0, mu_bar=0.0034, delta=8.2e-4),
-                    sigma=0.04, lam=2.0)
+def test_kappa_equals_lambda_named_error(benchmark_params):
     with pytest.raises(ValidationError) as exc:
-        validate(p)
+        ModelParams(drift=OUDrift(kappa=2.0, mu_bar=0.0034, delta=8.2e-4),
+                    sigma=0.04, lam=2.0)
     assert "kappa_equals_lambda" in exc.value.codes
+    # every way of making a value checks it
+    with pytest.raises(ValidationError) as exc:
+        benchmark_params.with_lambda(benchmark_params.drift.kappa)
+    assert exc.value.codes == ["kappa_equals_lambda"]
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(benchmark_params, sigma=0.0)
+    assert exc.value.codes == ["nonpositive_sigma"]
 
 
 def test_lambda_equals_alpha_plus_beta_named_error():
-    p = ModelParams(drift=CTMC2Drift(rho1=-0.1, rho2=0.2, alpha=1.0, beta=1.0),
-                    sigma=0.2, lam=2.0)
     with pytest.raises(ValidationError) as exc:
-        validate(p)
+        ModelParams(drift=CTMC2Drift(rho1=-0.1, rho2=0.2, alpha=1.0, beta=1.0),
+                    sigma=0.2, lam=2.0)
     assert "lambda_equals_alpha_plus_beta" in exc.value.codes
     # the near-equality guard fires too
     with pytest.raises(ValidationError):
-        validate(ModelParams(drift=CTMC2Drift(rho1=-0.1, rho2=0.2, alpha=1.0, beta=1.0),
-                             sigma=0.2, lam=2.0 + 1e-9))
+        ModelParams(drift=CTMC2Drift(rho1=-0.1, rho2=0.2, alpha=1.0, beta=1.0),
+                    sigma=0.2, lam=2.0 + 1e-9)
 
 
 def test_all_violations_reported_with_fields():
-    p = ModelParams(drift=OUDrift(kappa=-1.0, mu_bar=0.0, delta=-2.0, v1_0=-1.0),
-                    sigma=-1.0, lam=-1.0)
     with pytest.raises(ValidationError) as exc:
-        validate(p)
+        ModelParams(drift=OUDrift(kappa=-1.0, mu_bar=0.0, delta=-2.0, v1_0=-1.0),
+                    sigma=-1.0, lam=-1.0)
     fields = {f for f, _, _ in exc.value.violations}
     assert {"sigma", "lambda", "drift.kappa", "drift.delta"} <= fields
 
@@ -93,9 +101,10 @@ def test_sim_config_invariants():
     assert good.n_steps == 504
     for kw in (dict(dt=0.0), dict(horizon_months=-1), dict(n_paths=0), dict(omega=1.0),
                dict(omega=-0.1)):
-        cfg = SimConfig(**{**dict(horizon_months=24, n_paths=100, seed=1), **kw})
         with pytest.raises(ValidationError):
-            validate_sim(cfg)
+            SimConfig(**{**dict(horizon_months=24, n_paths=100, seed=1), **kw})
+        with pytest.raises(ValidationError):
+            dataclasses.replace(good, **kw)
 
 
 def test_params_json_round_trip(benchmark_params, ctmc_params):
@@ -128,3 +137,19 @@ def test_time_varying_affine_array_t():
         bad.weights(t, z)
     assert exc.value.codes == ["nonfinite_coefficients"]
     assert "t=1.5" in str(exc.value)
+
+
+def test_validation_runs_only_in_models():
+    """ModelParams and SimConfig validate themselves when made, so no other
+    module of the package calls validate or validate_sim."""
+    calls = []
+    for path in sorted(Path(expma_lab.__file__).parent.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("validate", "validate_sim"):
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
