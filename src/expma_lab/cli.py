@@ -11,7 +11,7 @@ growth     print/emit the long-run growth-rate table
 signal     turn a date,close price CSV into ExpMA signal and weight series
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
-EXPMA_THREADS caps simulation worker threads.
+EXPMA_THREADS sets the simulation worker threads (default 1).
 """
 
 from __future__ import annotations
@@ -38,11 +38,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
+    # made before any work, so that a bad path ends the run at once
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     return cfg
 
 
 def _emit_reports(reports, cfg: ExperimentConfig, args, stem: str) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dest = os.path.join(cfg.out_dir, f"{stem}.{args.format}")
     emit(reports, args.format, dest)
     print(f"wrote {dest}")
@@ -79,7 +83,6 @@ def _cmd_strategy(args) -> int:
         })
     print(json.dumps(out, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "strategy.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=2, sort_keys=True)
@@ -108,9 +111,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    if cfg.experiment != "performance":
-        cfg = replace(cfg, experiment="performance")
+    cfg = replace(_load_config(args), experiment="performance")
     reports = run_experiment(cfg)
     _emit_reports(reports, cfg, args, "performance")
     return EXIT_OK
@@ -127,9 +128,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pde(args) -> int:
-    cfg = _load_config(args)
-    if cfg.experiment != "pde":
-        cfg = replace(cfg, experiment="pde")
+    cfg = replace(_load_config(args), experiment="pde")
     if args.t_max is not None:
         cfg = replace(cfg, pde_t_max=args.t_max)
     if args.nx is not None:
@@ -141,12 +140,9 @@ def _cmd_pde(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    cfg = _load_config(args)
-    if cfg.experiment != "growth_rates":
-        cfg = replace(cfg, experiment="growth_rates")
+    cfg = replace(_load_config(args), experiment="growth_rates")
     reports = run_experiment(cfg)
     print(json.dumps(reports.extras, indent=2, sort_keys=True))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     table = os.path.join(cfg.out_dir, "growth_rates.csv")
     with open(table, "w", encoding="utf-8") as fh:
         fh.write("quantity,value\n")
@@ -158,9 +154,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    cfg = _load_config(args)
-    if cfg.experiment != "signal":
-        cfg = replace(cfg, experiment="signal")
+    cfg = replace(_load_config(args), experiment="signal")
     if args.input is not None:
         cfg = replace(cfg, signal_input=args.input)
     reports = run_experiment(cfg)
@@ -218,6 +212,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:  # a closed form of a valid model left the double range
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

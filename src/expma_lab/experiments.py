@@ -103,10 +103,8 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 d = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         return cls.from_dict(d)
 
     def validated(self) -> "ExperimentConfig":
@@ -200,11 +198,8 @@ def emit(reports: ReportSet, format: str, destination) -> None:
     if format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {format!r}")
     text = reports.to_csv() if format == "csv" else reports.to_json()
-    try:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"emit to {destination} failed: {exc}") from exc
+    with open(destination, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # --- strategy panels -----------------------------------------------------------

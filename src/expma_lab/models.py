@@ -50,9 +50,12 @@ class OUDrift:
         took_default = self.m1_0 is None and self.v1_0 is None
         if self.m1_0 is None:
             object.__setattr__(self, "m1_0", float(self.mu_bar))
-        if self.v1_0 is None:
-            if self.kappa > 0:
-                object.__setattr__(self, "v1_0", float(self.delta) ** 2 / (2.0 * self.kappa))
+        if self.v1_0 is None and self.kappa > 0:
+            try:
+                v1_0 = float(self.delta) ** 2 / (2.0 * self.kappa)
+            except OverflowError:  # past the double range; `validate` names it
+                v1_0 = math.inf
+            object.__setattr__(self, "v1_0", v1_0)
         object.__setattr__(self, "stationary_default", took_default)
 
     def to_dict(self) -> dict:
@@ -338,6 +341,9 @@ def validate_sim(config: SimConfig) -> SimConfig:
     elif not math.isfinite(config.horizon_months):
         v.append(("horizon_months", "nonfinite_horizon",
                   f"horizon_months must be finite, got {config.horizon_months}"))
+    elif config.dt > 0 and not math.isfinite(config.horizon_months / config.dt):
+        v.append(("dt", "nonfinite_n_steps", f"horizon_months / dt = {config.horizon_months}"
+                  f" / {config.dt} overflows; the step count must be finite"))
     elif config.dt > 0 and config.n_steps < 1:
         v.append(("horizon_months", "n_steps_too_small",
                   f"horizon_months = {config.horizon_months} is shorter than half a step "

@@ -36,8 +36,10 @@ GAMMA_DOMAIN_MAX = 60.0
 # CFL number of the transport march: each step obeys
 # dt * (s(t)/dxi + max(alpha, beta)) <= CFL
 CFL = 0.9
-# Most steps a transport march may take; a longer one is rejected unstarted.
+# Most steps, and most steps x nx (the work), a transport march may take; a
+# march over either is rejected unstarted. At nx = 512 the two limits agree.
 MAX_PDE_STEPS = 2_000_000
+MAX_PDE_WORK = 512 * MAX_PDE_STEPS
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,8 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
     range-preserving); each step is as long as that bound allows, clipped
     to land on the next snapshot time. Boundary values are imposed exactly
     each step. The march always ends at t_max, recorded with the snapshot
-    times, and is rejected unstarted if it may take over MAX_PDE_STEPS.
+    times, and is rejected unstarted if it may take over MAX_PDE_STEPS
+    steps or MAX_PDE_WORK steps x nx.
     """
     d = _drift(params)
     if nx < 64:
@@ -320,6 +323,9 @@ def solve_uv_pde(params: ModelParams, t_max: float, nx: int = 512,
     if bound > MAX_PDE_STEPS:
         raise ValidationError([("pde.t_max", "too_many_pde_steps",
                                 f"the march may take {bound:.3g} steps, over {MAX_PDE_STEPS}")])
+    if bound * nx > MAX_PDE_WORK:
+        raise ValidationError([("pde.nx", "too_much_pde_work", f"the march may take "
+                                f"{bound:.3g} steps x {nx} nodes, over {MAX_PDE_WORK}")])
     xi = np.linspace(0.0, 1.0, nx)
 
     # One state array w = [u, v reversed]: both halves then difference toward
@@ -465,16 +471,14 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
                          n_outer: int = 4096) -> float:
     """Long-run log growth of the stationary filter weight:
 
-        prefactor * int [ (int z l(z) phi_inf(y - z) dz)^2
-                          / int l(z) phi_inf(y - z) dz ] dy,
+        lambda^2 / (2 sigma^2) * int [ E[z phi_inf(y - z)]^2 / E[phi_inf(y - z)] ] dy,
 
-    prefactor = c beta lambda^2 (rho2 - rho1) / (2 sigma^2 (alpha + beta)).
-    The outer integral is truncated 8 Gaussian widths beyond the shifted
-    support; the Gaussian tail estimate, which must stay below 1e-9
-    relative, guards the truncation.
+    z from the unconditional Beta law of the drift integral. The outer
+    integral is truncated 8 Gaussian widths beyond the shifted support; the
+    Gaussian tail estimate, which must stay below 1e-9 relative, guards the
+    truncation.
     """
     pad_sigmas = 8.0
-    d = _drift(params)
     law = stationary_law(params)
     qd = QDecomposition(params)
     mean, var = qd.phi_params(math.inf)
@@ -482,14 +486,7 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
 
     # inner integrals as expectations under the unconditional Beta law
     z_nodes, w = law.nodes(0.0, 0.0, n_nodes)
-    # int l(z) f(z) dz = norm * E_Beta[f]; norm cancels prefactor to lambda^2/(2 sigma^2)
-    a, b = law.a_exp, law.b_exp
-    log_norm = ((a + b - 1.0) * math.log(d.rho2 - d.rho1)
-                + math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-                - math.log(params.lam))
-    norm = math.exp(log_norm)
-    prefactor = (law.c * d.beta * params.lam**2 * (d.rho2 - d.rho1)
-                 / (2.0 * params.sigma**2 * (d.alpha + d.beta)))
+    prefactor = params.lam**2 / (2.0 * params.sigma**2)
 
     y_lo = law.lo + mean - pad_sigmas * sd
     y_hi = law.hi + mean + pad_sigmas * sd
@@ -506,12 +503,12 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     N = phi @ w
     M = phi @ (w * z_nodes)
     integrand = np.where(N > 0.0, M * M / np.where(N > 0.0, N, 1.0), 0.0)
-    value = prefactor * norm * float(integrand @ wy)
+    value = prefactor * float(integrand @ wy)
 
     # Gaussian tail bound on the discarded mass: |z| <= max support bound
     zmax = max(abs(law.lo), abs(law.hi))
     tail_mass = math.erfc(pad_sigmas / math.sqrt(2.0))
-    tail = prefactor * norm * zmax**2 * tail_mass
+    tail = prefactor * zmax**2 * tail_mass
     if tail > 1e-9 * max(abs(value), 1.0):
         raise QuadratureError(
             f"outer integral truncation too coarse (tail estimate {tail:.3e})",

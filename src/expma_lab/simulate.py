@@ -56,19 +56,26 @@ FILL_TILE_BYTES = 2 * 1024 * 1024
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Ensemble of discretized (X, Y, Z, mu) trajectories, shape (n_paths, n_steps+1)."""
+    """Ensemble of discretized (X, Y, mu) trajectories, shape (n_paths, n_steps+1)."""
 
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     mu: np.ndarray
     dt: float
     seed: int
-    model: str
     params: ModelParams
     x0: float
     pi0: float
     path_offset: int = 0
+
+    @property
+    def z(self) -> np.ndarray:
+        """The signal Z = X - Y, a new grid on every read."""
+        return self.x - self.y
+
+    @property
+    def model(self) -> str:
+        return "ou" if self.params.is_ou else "ctmc2"
 
     @property
     def n_paths(self) -> int:
@@ -198,12 +205,12 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
 
 
 def simulate_paths(params: ModelParams, config: SimConfig,
-                   path_offset: int = 0, workers: int | None = None) -> PathBundle:
+                   path_offset: int = 0) -> PathBundle:
     """Generate a seeded ensemble; deterministic for fixed (seed, offsets).
 
     `path_offset` shifts the substream indices so large runs can be built
-    in chunks that agree bitwise with a single monolithic call. `workers`
-    (default: EXPMA_THREADS or 1) parallelizes over disjoint path blocks.
+    in chunks that agree bitwise with a single monolithic call. EXPMA_THREADS
+    (default 1) sets the threads that fill disjoint path blocks.
     """
     n_steps = config.n_steps
     n = config.n_paths
@@ -212,13 +219,11 @@ def simulate_paths(params: ModelParams, config: SimConfig,
             f"n_paths*(n_steps+1) = {n * (n_steps + 1)} exceeds {MAX_ELEMENTS}; "
             "simulate in path chunks (path_offset) instead")
 
-    if workers is None:
-        raw = os.environ.get("EXPMA_THREADS", "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
-    workers = max(1, workers)
+    raw = os.environ.get("EXPMA_THREADS", "1") or "1"
+    try:
+        workers = max(1, int(raw))
+    except ValueError as exc:
+        raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
     x = np.empty((n, n_steps + 1), dtype=float)
     y = np.empty_like(x)
@@ -235,8 +240,7 @@ def simulate_paths(params: ModelParams, config: SimConfig,
             list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu),
                           slices))
 
-    return PathBundle(x=x, y=y, z=x - y, mu=mu, dt=config.dt, seed=config.seed,
-                      model="ou" if params.is_ou else "ctmc2", params=params,
+    return PathBundle(x=x, y=y, mu=mu, dt=config.dt, seed=config.seed, params=params,
                       x0=config.x0, pi0=config.pi0, path_offset=path_offset)
 
 
@@ -263,8 +267,6 @@ class WealthLedger:
     dt: float
     omega: float
     pi0: float
-    x0: float
-    strategy_name: str
 
     @property
     def n_paths(self) -> int:
@@ -327,15 +329,16 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
             wealth=wealth, pre_wealth=wealth[:, 1:].copy(),
             weights=np.ones((n, S)), delta=np.zeros((n, S + 1)),
             cost=np.zeros(n), bankrupt=np.zeros(n, dtype=bool),
-            dt=bundle.dt, omega=omega, pi0=pi0, x0=bundle.x0,
-            strategy_name=strategy.name)
+            dt=bundle.dt, omega=omega, pi0=pi0)
 
     # weights[:, i] is held over [i, i+1): one share (f = 1) on day 0, then
     # the target weight at (t_i, Z_i) for every rebalancing day i = 1..S-1
     weights = np.empty((n, S))
     weights[:, 0] = 1.0
     t = np.arange(1, S) * bundle.dt
-    weights[:, 1:] = strategy.weights(t, bundle.z[:, 1:S])
+    # Z on those days is formed in the buffer the weights then overwrite
+    z = np.subtract(x[:, 1:S], bundle.y[:, 1:S], out=weights[:, 1:])
+    weights[:, 1:] = strategy.weights(t, z)
     finite = np.isfinite(weights).all(axis=0)
     if not finite.all():
         t_bad = t[finite.argmin() - 1]
@@ -358,7 +361,7 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
 
     return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
                         delta=delta, cost=cost, bankrupt=bankrupt, dt=bundle.dt,
-                        omega=omega, pi0=pi0, x0=bundle.x0, strategy_name=strategy.name)
+                        omega=omega, pi0=pi0)
 
 
 def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt):

@@ -215,8 +215,7 @@ def reference_ledger(bundle, strategy, omega):
 
     return xl.WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
                            delta=delta, cost=cost, bankrupt=bankrupt,
-                           dt=bundle.dt, omega=omega, pi0=bundle.pi0, x0=bundle.x0,
-                           strategy_name=strategy.name)
+                           dt=bundle.dt, omega=omega, pi0=bundle.pi0)
 
 
 def reference_uv_march(params, t_max, nx=512, snapshot_times=None):

@@ -340,6 +340,8 @@ def test_cli_malformed_config_fields_exit_2(tmp_path, capsys, command, d):
     ("drift", "kappa", math.inf, "nonfinite_kappa"),
     ("drift", "v1_0", math.inf, "nonfinite_v1_0"),
     ("drift", "delta", math.inf, "nonfinite_delta"),
+    ("drift", "delta", 1e200, "nonfinite_v1_0"),
+    ("sim", "dt", 1e-320, "nonfinite_n_steps"),
     ("ctmc", "rho1", -math.inf, "nonfinite_rho1"),
     ("ctmc", "rho2", math.inf, "nonfinite_rho2"),
     ("ctmc", "alpha", math.inf, "nonfinite_alpha"),
@@ -476,6 +478,50 @@ def test_cli_pde_rejects_a_march_over_the_step_limit(tmp_path, capsys):
     assert "[too_many_pde_steps]" in capsys.readouterr().err
 
 
+def test_cli_pde_rejects_a_march_over_the_work_limit(tmp_path, capsys):
+    """4.96e5 steps, under the step limit, but each over 4e6-element arrays."""
+    d = json.loads((CONFIGS / "pde.json").read_text())
+    d["pde"] = {"t_max": 0.0005, "nx": 2_000_000}
+    start = time.perf_counter()
+    rc = cli_main(["pde", "--config", write_config(tmp_path, d), "--out", str(tmp_path / "p")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "[too_much_pde_work]" in capsys.readouterr().err
+
+
+# A valid model whose closed forms leave the double range: sigma**2 and
+# (kappa - lambda)**2 overflow in OUCoefficients, the horizon in the affine solve.
+@pytest.mark.parametrize("section, field, value", [
+    ("params", "sigma", 1e200), ("drift", "kappa", 1e200), ("sim", "horizon_months", 1e300)])
+def test_cli_strategy_overflow_exits_3(tmp_path, capsys, section, field, value):
+    d = json.loads((CONFIGS / "performance.json").read_text())
+    {"sim": d["sim"], "params": d["params"]}.get(section, d["params"]["drift"])[field] = value
+    assert cli_main(["strategy", "--config", write_config(tmp_path, d)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: OverflowError: ")
+
+
+@pytest.mark.parametrize("config, out", [
+    (".", None), ("latin1.json", None), ("cfg.json", "a_file"), ("cfg.json", "a_file/sub")],
+    ids=["config_is_a_directory", "config_is_not_utf8", "out_is_a_file", "out_under_a_file"])
+def test_cli_file_errors_exit_2_before_any_work(tmp_path, monkeypatch, capsys, config, out):
+    """Each ended in a traceback (IsADirectoryError, UnicodeDecodeError,
+    FileExistsError, NotADirectoryError); now a config error, before a
+    simulation starts."""
+    def no_simulation(*a, **kw):
+        raise AssertionError("simulated despite a bad path")
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths", no_simulation)
+    write_config(tmp_path, config_dict(n_paths=20))
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "latin1.json").write_bytes(b'{"experiment": "caf\xe9"}')
+    argv = ["simulate", "--config", str(tmp_path / config)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 # The shipped OU and Markov-drift models and simulation settings; the
 # Hypothesis draws below scale each value by up to three decades.
 OU_RAW = {"kappa": 0.0226, "mu_bar": 0.0034, "delta": 8.2404e-4,
@@ -491,7 +537,8 @@ SIM_RAW = {"dt": 1 / 21, "horizon_months": 24.0, "n_paths": 10_000,
 def raw_configs(draw):
     """A `strategy` config dict: every value finite and within three decades
     of the shipped one, except at most one field set to 0, its negative,
-    +-inf or nan. The initial-law fields m1_0 and v1_0 may be null."""
+    +-inf, nan, 1e200, 1e300 or 1e-320. The initial-law fields m1_0 and
+    v1_0 may be null."""
     def near(base):
         return base * 10.0 ** draw(st.floats(-3.0, 3.0))
 
@@ -508,12 +555,13 @@ def raw_configs(draw):
     bad = draw(st.sampled_from([None, *range(len(fields))]))
     if bad is not None:
         sec, k = fields[bad]
-        special = draw(st.sampled_from(["zero", "negative", "inf", "-inf", "nan"]))
+        special = draw(st.sampled_from(["zero", "negative", "inf", "-inf", "nan",
+                                        "1e200", "1e300", "1e-320"]))
         if special == "negative":
             sec[k] = -(sec[k] if sec[k] is not None else 1.0)
         else:
-            sec[k] = {"zero": 0.0, "inf": math.inf, "-inf": -math.inf,
-                      "nan": math.nan}[special]
+            sec[k] = {"zero": 0.0, "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+                      "1e200": 1e200, "1e300": 1e300, "1e-320": 1e-320}[special]
     params["drift"] = {"type": kind, **drift}
     return {"experiment": "performance", "params": params, "sim": sim}
 

@@ -15,7 +15,7 @@ def ledger_from_wealth(wealth, bankrupt=None, dt=1.0 / 21.0, omega=0.0, pi0=1.0)
         weights=np.ones((n, s1 - 1)), delta=np.zeros((n, s1)),
         cost=np.zeros(n),
         bankrupt=np.zeros(n, dtype=bool) if bankrupt is None else np.asarray(bankrupt),
-        dt=dt, omega=omega, pi0=pi0, x0=0.0, strategy_name="test")
+        dt=dt, omega=omega, pi0=pi0)
 
 
 def test_constant_wealth_degenerate():

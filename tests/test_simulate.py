@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,11 +40,13 @@ def test_chunked_equals_monolithic(benchmark_params):
     assert np.array_equal(whole.x, stitched)
 
 
-def test_worker_count_irrelevant(benchmark_params, ctmc_params):
+def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
     cfg = small_config(n_paths=600)
     for params in (benchmark_params, ctmc_params):
-        b1 = simulate_paths(params, cfg, workers=1)
-        b4 = simulate_paths(params, cfg, workers=4)
+        monkeypatch.setenv("EXPMA_THREADS", "1")
+        b1 = simulate_paths(params, cfg)
+        monkeypatch.setenv("EXPMA_THREADS", "4")
+        b4 = simulate_paths(params, cfg)
         assert np.array_equal(b1.x, b4.x)
         assert np.array_equal(b1.mu, b4.mu)
 
@@ -74,6 +77,35 @@ def test_bundle_invariants(benchmark_params, ctmc_params):
     bc = simulate_paths(ctmc_params, cfg)
     states = {ctmc_params.drift.rho1, ctmc_params.drift.rho2}
     assert set(np.unique(bc.mu)) <= states
+
+
+def test_each_quantity_is_stored_once(benchmark_params):
+    """The bundle stores X, Y and mu; Z = X - Y is formed where it is read.
+    The ledger keeps no copy of what the bundle and the strategy hold."""
+    assert {f.name for f in dataclasses.fields(xl.PathBundle)} == {
+        "x", "y", "mu", "dt", "seed", "params", "x0", "pi0", "path_offset"}
+    assert {f.name for f in dataclasses.fields(xl.WealthLedger)} == {
+        "wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt", "dt", "omega", "pi0"}
+    b = simulate_paths(benchmark_params, small_config(x0=0.25))
+    assert b.z.tobytes() == np.subtract(b.x, b.y).tobytes()
+    assert b.model == "ou"
+
+
+def test_simulate_and_ledger_peak_memory(benchmark_params):
+    """Bundle plus one affine ledger at 2000 x 505 peak at about 7.3 grids:
+    the bundle's three, the ledger's four, the weights call's temporary and
+    the row blocks. A stored Z grid would make that 8.3."""
+    cfg = SimConfig(horizon_months=24.0, n_paths=2000, seed=5)
+    grid = 8 * cfg.n_paths * (cfg.n_steps + 1)
+    strat = ConstantAffine(*growth_limit_affine(benchmark_params))
+    tracemalloc.start()
+    try:
+        led = run_strategy(simulate_paths(benchmark_params, cfg), strat, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert led.bankrupt.sum() == 0
+    assert peak < 7.8 * grid, peak / grid
 
 
 def test_deterministic_limit_constant_drift():
@@ -314,7 +346,7 @@ def test_ledger_block_size_invariant(monkeypatch, omega):
     assert 2 <= broke.sum() <= 60
     ok_rows, broke_rows = np.flatnonzero(~broke), np.flatnonzero(broke)
     order = np.concatenate([ok_rows[:2], broke_rows, ok_rows[2:]])
-    b = dataclasses.replace(b, x=b.x[order], y=b.y[order], z=b.z[order], mu=b.mu[order])
+    b = dataclasses.replace(b, x=b.x[order], y=b.y[order], mu=b.mu[order])
 
     row_bytes = 8 * (b.n_steps + 1)
     ledgers = []
