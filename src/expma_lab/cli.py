@@ -38,11 +38,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    # made before any work, so that a bad path ends the run at once
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
+    os.makedirs(cfg.out_dir, exist_ok=True)  # before any work: a bad path ends the run at once
     return cfg
 
 
@@ -207,7 +203,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:  # OSError: a path it cannot use
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

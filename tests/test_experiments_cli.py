@@ -522,6 +522,18 @@ def test_cli_file_errors_exit_2_before_any_work(tmp_path, monkeypatch, capsys, c
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_cli_unusable_input_or_output_file_exits_2(tmp_path, capsys):
+    """A directory where the report is written, or given as the price
+    file, ended in IsADirectoryError; now a config error."""
+    (tmp_path / "o" / "performance.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, config_dict(n_paths=20, horizon=1.0))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cli_main(["signal", "--config", str(CONFIGS / "signal.json"),
+                     "--input", str(tmp_path), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error: ") for e in err)
+
+
 # The shipped OU and Markov-drift models and simulation settings; the
 # Hypothesis draws below scale each value by up to three decades.
 OU_RAW = {"kappa": 0.0226, "mu_bar": 0.0034, "delta": 8.2404e-4,
