@@ -203,7 +203,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValidationError, OSError) as exc:  # OSError: a path it cannot use
+    # OSError and UnicodeDecodeError: a file the run cannot read or write
+    except (ConfigError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

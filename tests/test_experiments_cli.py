@@ -524,14 +524,18 @@ def test_cli_file_errors_exit_2_before_any_work(tmp_path, monkeypatch, capsys, c
 
 def test_cli_unusable_input_or_output_file_exits_2(tmp_path, capsys):
     """A directory where the report is written, or given as the price
-    file, ended in IsADirectoryError; now a config error."""
+    file, ended in IsADirectoryError, and a price file that is not UTF-8
+    in UnicodeDecodeError; now each is a config error."""
     (tmp_path / "o" / "performance.csv").mkdir(parents=True)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"date,close\n2020-01-01,100\n2020-01-02,caf\xe9\n")
     cfg = write_config(tmp_path, config_dict(n_paths=20, horizon=1.0))
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert cli_main(["signal", "--config", str(CONFIGS / "signal.json"),
-                     "--input", str(tmp_path), "--out", str(tmp_path / "s")]) == 2
+    for prices in (tmp_path, latin1):
+        assert cli_main(["signal", "--config", str(CONFIGS / "signal.json"),
+                         "--input", str(prices), "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(e.startswith("config error: ") for e in err)
+    assert len(err) == 3 and all(e.startswith("config error: ") for e in err)
 
 
 # The shipped OU and Markov-drift models and simulation settings; the
