@@ -39,8 +39,6 @@ class NumericError(ExpmaError, RuntimeError):
 class DegenerateZProcessError(NumericError):
     """C(T)*T - D(T)^2 <= 0: the affine optimizer's normal equations are singular."""
 
-    code = "degenerate_Z_process"
-
 
 class QuadratureError(NumericError):
     """Adaptive quadrature did not reach the requested tolerance."""
@@ -57,13 +55,9 @@ class SchemeInstabilityError(NumericError):
 class OutsideSupportError(NumericError):
     """Conditional densities vanish at the evaluation point."""
 
-    code = "outside_effective_support"
-
 
 class LeverageCostSingularityError(NumericError):
     """1 +/- omega*f is numerically zero: the share-change equation is singular."""
-
-    code = "leverage_cost_singularity"
 
 
 class ResourceLimitError(ConfigError):

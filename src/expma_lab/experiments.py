@@ -58,11 +58,11 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def to_dict(self) -> dict:
+        """The settings `config_hash` covers; where the run writes is not one."""
         d = {
             "experiment": self.experiment,
             "params": self.params.to_dict(),
             "sim": self.sim.to_dict(),
-            "out_dir": self.out_dir,
         }
         if self.sweep_values is not None:
             d["sweep_values"] = list(self.sweep_values)
@@ -212,14 +212,14 @@ def build_strategies(params: ModelParams, T: float) -> list[tuple[str, Strategy]
         a1, b1 = ou_mod.optimal_utility_affine(params, T, benchmark_c=True)
         c2 = partial(ou_mod.optimal_c2_coefficients, params)
         return [
-            ("utility_c1", ConstantAffine(a1, b1, name="utility_c1")),
-            ("utility_c2", TimeVaryingAffine(c2, name="utility_c2")),
+            ("utility_c1", ConstantAffine(a1, b1)),
+            ("utility_c2", TimeVaryingAffine(c2)),
             ("growth", _growth_strategy(params)),
             ("buy_hold", BuyAndHold()),
         ]
     a1, b1 = ctmc_mod.finite_horizon_affine(params, T)
     return [
-        ("utility_c1", ConstantAffine(a1, b1, name="utility_c1")),
+        ("utility_c1", ConstantAffine(a1, b1)),
         ("growth", _growth_strategy(params)),
         ("filter", regime_filter.filter_strategy(params)),
         ("buy_hold", BuyAndHold()),
@@ -231,7 +231,7 @@ def _growth_strategy(params: ModelParams) -> ConstantAffine:
     drift, (c_inf, d_inf) for the Markov drift."""
     coeffs = (ou_mod.growth_limit_affine(params) if params.is_ou
               else ctmc_mod.optimal_growth_affine(params))
-    return ConstantAffine(*coeffs, name="growth")
+    return ConstantAffine(*coeffs)
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -339,7 +339,6 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
                                       snapshot_times=config.pde_snapshots or ())
     md["pde_steps"] = grid.steps
     md["pde_cfl_eff"] = regime_filter.CFL
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "uv_grid.csv")
     grid.to_csv(path)
     return ReportSet(rows=(), metadata=md,
@@ -378,15 +377,13 @@ def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:
     z = x - y
 
     if config.params.is_ou:
-        a_inf, b_inf = ou_mod.growth_limit_affine(config.params)
-        weights = a_inf * z + b_inf
-        rule = {"a": a_inf, "b": b_inf}
+        strat = _growth_strategy(config.params)
+        rule = {"a": strat.a, "b": strat.b}
     else:
         strat = regime_filter.filter_strategy(config.params)
-        weights = strat.weights(0.0, z)
         rule = {"kind": "filter"}
+    weights = strat.weights(0.0, z)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     out = os.path.join(config.out_dir, "signal.csv")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("date,close,x,y,z,weight\n")

@@ -209,8 +209,6 @@ class SimConfig:
 class Strategy:
     """Portfolio weight rule f(t, z); subclasses are immutable values."""
 
-    name: str = "strategy"
-
     def weights(self, t, z: np.ndarray) -> np.ndarray:
         """Weights at signals `z`; `t` is a scalar or, as the wealth ledger
         passes it, an array aligned with the last (time) axis of `z`."""
@@ -223,7 +221,6 @@ class ConstantAffine(Strategy):
 
     a: float
     b: float
-    name: str = "affine"
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
@@ -239,7 +236,6 @@ class TimeVaryingAffine(Strategy):
     """f(t, z) = a(t)*z + b(t) with a caller-supplied coefficient evaluator."""
 
     coefficients: Callable[[float], tuple[float, float]]
-    name: str = "affine_t"
 
     def weights(self, t, z: np.ndarray) -> np.ndarray:
         a, b = self.coefficients(t)
@@ -256,7 +252,6 @@ class NonlinearFilter(Strategy):
     """f(t, z) = g(z) for a pointwise (vectorized) evaluator g."""
 
     g: Callable[[np.ndarray], np.ndarray]
-    name: str = "filter"
 
     def weights(self, t: float, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.g(np.asarray(z, dtype=float)), dtype=float)
@@ -265,8 +260,6 @@ class NonlinearFilter(Strategy):
 @dataclass(frozen=True)
 class BuyAndHold(Strategy):
     """Hold one share of the risky asset throughout; the comparison baseline."""
-
-    name: str = "buy_hold"
 
     def weights(self, t: float, z: np.ndarray) -> np.ndarray:
         return np.ones_like(np.asarray(z, dtype=float))

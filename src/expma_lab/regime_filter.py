@@ -40,6 +40,10 @@ CFL = 0.9
 # march over either is rejected unstarted. At nx = 512 the two limits agree.
 MAX_PDE_STEPS = 2_000_000
 MAX_PDE_WORK = 512 * MAX_PDE_STEPS
+# Gauss-Jacobi nodes per Beta expectation of the stationary law, and
+# Gauss-Legendre points (32 per panel) of the long-run growth's outer integral.
+BETA_NODES = 192
+GROWTH_OUTER_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,10 @@ class StationaryLaw:
 
         return betainc(self.a_exp, self.b_exp, self._s(x))
 
-    def nodes(self, extra_a: float = 0.0, extra_b: float = 0.0,
-              n: int = 192) -> tuple[np.ndarray, np.ndarray]:
-        """(z nodes, unit weights) for E_{Beta(a+extra_a, b+extra_b)}[f(z)]."""
-        s, w = _beta_nodes(self.a_exp + extra_a, self.b_exp + extra_b, n)
+    def nodes(self, extra_a: float, extra_b: float) -> tuple[np.ndarray, np.ndarray]:
+        """(z nodes, unit weights) for E_{Beta(a+extra_a, b+extra_b)}[f(z)]
+        on BETA_NODES nodes."""
+        s, w = _beta_nodes(self.a_exp + extra_a, self.b_exp + extra_b, BETA_NODES)
         z = self.lo + (self.hi - self.lo) * s
         return z, w
 
@@ -464,11 +468,10 @@ def filter_strategy(params: ModelParams) -> NonlinearFilter:
     def g(z: np.ndarray) -> np.ndarray:
         return np.interp(z, zs, gs, left=lo_w, right=hi_w)
 
-    return NonlinearFilter(g=g, name="filter")
+    return NonlinearFilter(g=g)
 
 
-def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
-                         n_outer: int = 4096) -> float:
+def long_run_growth_ctmc(params: ModelParams) -> float:
     """Long-run log growth of the stationary filter weight:
 
         lambda^2 / (2 sigma^2) * int [ E[z phi_inf(y - z)]^2 / E[phi_inf(y - z)] ] dy,
@@ -485,14 +488,14 @@ def long_run_growth_ctmc(params: ModelParams, n_nodes: int = 192,
     sd = math.sqrt(var)
 
     # inner integrals as expectations under the unconditional Beta law
-    z_nodes, w = law.nodes(0.0, 0.0, n_nodes)
+    z_nodes, w = law.nodes(0.0, 0.0)
     prefactor = params.lam**2 / (2.0 * params.sigma**2)
 
     y_lo = law.lo + mean - pad_sigmas * sd
     y_hi = law.hi + mean + pad_sigmas * sd
     # composite Gauss-Legendre panels over [y_lo, y_hi]
     gl_x, gl_w = np.polynomial.legendre.leggauss(32)
-    n_panels = max(8, n_outer // 32)
+    n_panels = GROWTH_OUTER_POINTS // 32
     edges = np.linspace(y_lo, y_hi, n_panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

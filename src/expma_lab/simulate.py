@@ -47,6 +47,10 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy)
 
 MAX_ELEMENTS = 40_000_000  # n_paths * (n_steps + 1) bound per bundle (~1.3 GB of arrays)
+# Bound per Markov-drift bundle on (alpha + beta) * n_steps * dt * n_paths, at
+# least twice the expected jump count. The jump draw loops in Python, about
+# 0.55 us per jump on a 2-core VM, so the bound is about 5 s of drawing.
+MAX_JUMPS = 10_000_000
 # Target bytes per array in one row block of the wealth ledger, small enough
 # for the block's dozen temporaries to stay in cache; at least one path per block.
 LEDGER_BLOCK_BYTES = 256 * 1024
@@ -56,16 +60,14 @@ FILL_TILE_BYTES = 2 * 1024 * 1024
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Ensemble of discretized (X, Y, mu) trajectories, shape (n_paths, n_steps+1)."""
+    """Ensemble of discretized (X, Y, mu) trajectories, shape (n_paths, n_steps+1),
+    with the model and simulation settings it was drawn from."""
 
     x: np.ndarray
     y: np.ndarray
     mu: np.ndarray
-    dt: float
-    seed: int
     params: ModelParams
-    x0: float
-    pi0: float
+    sim: SimConfig
     path_offset: int = 0
 
     @property
@@ -87,7 +89,8 @@ class PathBundle:
 
     def identity_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(f"{self.model}|{self.seed}|{self.path_offset}|{self.dt!r}|{self.x0!r}".encode())
+        sim = self.sim
+        h.update(f"{self.model}|{sim.seed}|{self.path_offset}|{sim.dt!r}|{sim.x0!r}".encode())
         h.update(self.x.tobytes())
         return h.hexdigest()[:16]
 
@@ -185,16 +188,11 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
         k = np.searchsorted(jumps, bounds, side="right")
         state_of = np.where((k % 2 == 0) == start_high, d.rho2, d.rho1)
         # cumulative integral of mu at jump epochs, then linear within sojourns
-        if jumps.size:
-            seg_states = np.where((np.arange(jumps.size) % 2 == 0) == start_high,
-                                  d.rho2, d.rho1)
-            seg_lens = np.diff(np.concatenate(([0.0], jumps)))
-            cum = np.concatenate(([0.0], np.cumsum(seg_states * seg_lens)))
-            last_jump = np.concatenate(([0.0], jumps))
-            integral = cum[k] + state_of * (bounds - last_jump[k])
-        else:
-            integral = state_of * bounds
-        d_int = np.diff(integral)
+        seg_states = np.where((np.arange(jumps.size) % 2 == 0) == start_high,
+                              d.rho2, d.rho1)
+        last_jump = np.concatenate(([0.0], jumps))
+        cum = np.concatenate(([0.0], np.cumsum(seg_states * np.diff(last_jump))))
+        d_int = np.diff(cum[k] + state_of * (bounds - last_jump[k]))
 
         row = lo + j
         x[row, 0] = config.x0
@@ -218,6 +216,13 @@ def simulate_paths(params: ModelParams, config: SimConfig,
         raise ResourceLimitError(
             f"n_paths*(n_steps+1) = {n * (n_steps + 1)} exceeds {MAX_ELEMENTS}; "
             "simulate in path chunks (path_offset) instead")
+    if params.is_ctmc:
+        d = params.drift
+        jumps = (d.alpha + d.beta) * n_steps * config.dt * n
+        if jumps > MAX_JUMPS:
+            raise ResourceLimitError(
+                f"(alpha+beta)*n_steps*dt*n_paths = {jumps:.3g} jumps exceeds {MAX_JUMPS}; "
+                "lower the jump rates, the horizon or n_paths")
 
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
     try:
@@ -240,8 +245,7 @@ def simulate_paths(params: ModelParams, config: SimConfig,
             list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu),
                           slices))
 
-    return PathBundle(x=x, y=y, mu=mu, dt=config.dt, seed=config.seed, params=params,
-                      x0=config.x0, pi0=config.pi0, path_offset=path_offset)
+    return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)
 
 
 # --- wealth accounting ----------------------------------------------------------
@@ -316,26 +320,23 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     if not (0.0 <= omega < 1.0):
         raise ValidationError([("omega", "omega_out_of_range",
                                 f"omega must be in [0, 1), got {omega}")])
-    if not (bundle.pi0 > 0.0):
-        raise ValidationError([("pi0", "nonpositive_pi0",
-                                f"initial wealth must be positive, got {bundle.pi0}")])
     n, S = bundle.n_paths, bundle.n_steps
     x = bundle.x
-    pi0 = bundle.pi0
+    dt, pi0 = bundle.sim.dt, bundle.sim.pi0
 
     if isinstance(strategy, BuyAndHold):
-        wealth = pi0 * np.exp(x - bundle.x0)
+        wealth = pi0 * np.exp(x - bundle.sim.x0)
         return WealthLedger(
             wealth=wealth, pre_wealth=wealth[:, 1:].copy(),
             weights=np.ones((n, S)), delta=np.zeros((n, S + 1)),
             cost=np.zeros(n), bankrupt=np.zeros(n, dtype=bool),
-            dt=bundle.dt, omega=omega, pi0=pi0)
+            dt=dt, omega=omega, pi0=pi0)
 
     # weights[:, i] is held over [i, i+1): one share (f = 1) on day 0, then
     # the target weight at (t_i, Z_i) for every rebalancing day i = 1..S-1
     weights = np.empty((n, S))
     weights[:, 0] = 1.0
-    t = np.arange(1, S) * bundle.dt
+    t = np.arange(1, S) * dt
     # Z on those days is formed in the buffer the weights then overwrite
     z = np.subtract(x[:, 1:S], bundle.y[:, 1:S], out=weights[:, 1:])
     weights[:, 1:] = strategy.weights(t, z)
@@ -360,7 +361,7 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
                       delta[b], cost[b], bankrupt[b])
 
     return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
-                        delta=delta, cost=cost, bankrupt=bankrupt, dt=bundle.dt,
+                        delta=delta, cost=cost, bankrupt=bankrupt, dt=dt,
                         omega=omega, pi0=pi0)
 
 

@@ -178,7 +178,7 @@ def reference_ledger(bundle, strategy, omega):
     cost = np.zeros(n)
     bankrupt = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
-    wealth[:, 0] = bundle.pi0
+    wealth[:, 0] = bundle.sim.pi0
     weights[:, 0] = 1.0
 
     for i in range(S):
@@ -195,7 +195,7 @@ def reference_ledger(bundle, strategy, omega):
             break
 
         f_next = np.broadcast_to(
-            np.asarray(strategy.weights((i + 1) * bundle.dt, z[:, i + 1]), dtype=float),
+            np.asarray(strategy.weights((i + 1) * bundle.sim.dt, z[:, i + 1]), dtype=float),
             (n,))
         f_next = np.where(active, f_next, 0.0)
         d_shares = xl.rebalance_delta(f_next, f, pi, x[:, i], x[:, i + 1], omega)
@@ -215,7 +215,7 @@ def reference_ledger(bundle, strategy, omega):
 
     return xl.WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
                            delta=delta, cost=cost, bankrupt=bankrupt,
-                           dt=bundle.dt, omega=omega, pi0=bundle.pi0)
+                           dt=bundle.sim.dt, omega=omega, pi0=bundle.sim.pi0)
 
 
 def reference_uv_march(params, t_max, nx=512, snapshot_times=None):

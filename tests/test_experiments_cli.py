@@ -287,19 +287,36 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_resource_limit_is_config_error(tmp_path, capsys):
-    d = config_dict(experiment="cost_sweep", n_paths=100_000, horizon=24.0,
-                    sweep_values=[0.0, 0.001])
-    cfg = write_config(tmp_path, d)
-    tracemalloc.start()
-    try:
-        rc = cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    assert "exceeds" in capsys.readouterr().err
-    # the size check runs before any 404 MB path array is allocated
-    assert peak < 10_000_000
+    too_many_elements = config_dict(experiment="cost_sweep", n_paths=100_000, horizon=24.0,
+                                    sweep_values=[0.0, 0.001])
+    # valid jump rates whose Python jump draw would run for about 40 h
+    too_many_jumps = config_dict(n_paths=10_000, horizon=24.0)
+    too_many_jumps["params"] = {"drift": {"type": "ctmc2", "rho1": -0.2, "rho2": 0.3,
+                                          "alpha": 1e6, "beta": 1e6},
+                                "sigma": 0.2, "lambda": 2.5}
+    for command, d in (("sweep", too_many_elements), ("simulate", too_many_jumps)):
+        cfg = write_config(tmp_path, d)
+        tracemalloc.start()
+        try:
+            rc = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "exceeds" in capsys.readouterr().err
+        # the size checks run before any 404 MB or 40 MB path array is allocated
+        assert peak < 10_000_000
+
+
+def test_cli_config_hash_does_not_depend_on_out(tmp_path):
+    hashes = []
+    for out in ("a", "b"):
+        argv = ["growth", "--config", str(CONFIGS / "growth_ou.json"), "--format", "json",
+                "--out", str(tmp_path / out)]
+        assert cli_main(argv) == 0
+        report = json.loads((tmp_path / out / "growth_rates_report.json").read_text())
+        hashes.append(report["metadata"]["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def _ctmc_pde_config(**pde):

@@ -355,10 +355,13 @@ def test_long_run_growth_prefactor_identity(ctmc_params):
     assert pref * norm == pytest.approx(p.lam**2 / (2.0 * p.sigma**2), rel=1e-12)
 
 
-def test_long_run_growth_node_count_stable(ctmc_params):
-    v1 = long_run_growth_ctmc(ctmc_params, n_nodes=128, n_outer=2048)
-    v2 = long_run_growth_ctmc(ctmc_params, n_nodes=256, n_outer=8192)
-    assert v1 == pytest.approx(v2, rel=1e-9)
+def test_long_run_growth_node_count_stable(ctmc_params, monkeypatch):
+    values = []
+    for nodes, outer in ((128, 2048), (256, 8192)):
+        monkeypatch.setattr(xl.regime_filter, "BETA_NODES", nodes)
+        monkeypatch.setattr(xl.regime_filter, "GROWTH_OUTER_POINTS", outer)
+        values.append(long_run_growth_ctmc(ctmc_params))
+    assert values[0] == pytest.approx(values[1], rel=1e-9)
 
 
 # --- Gauss-Jacobi nodes ------------------------------------------------------------
@@ -406,7 +409,7 @@ def test_filter_vs_eq10_form(ctmc_params):
     the direct moment-ratio form lambda*M(y)/N(y)."""
     law = stationary_law(ctmc_params)
     qd = QDecomposition(ctmc_params)
-    z, w = law.nodes(0.0, 0.0, 192)
+    z, w = law.nodes(0.0, 0.0)
     xs = np.linspace(law.lo - 0.3, law.hi + 0.3, 101)
     phi = qd.phi(math.inf, xs[:, None] - z[None, :])
     N = phi @ w

@@ -80,13 +80,18 @@ def test_bundle_invariants(benchmark_params, ctmc_params):
 
 
 def test_each_quantity_is_stored_once(benchmark_params):
-    """The bundle stores X, Y and mu; Z = X - Y is formed where it is read.
-    The ledger keeps no copy of what the bundle and the strategy hold."""
+    """The bundle stores X, Y and mu with the settings it was drawn from;
+    Z = X - Y is formed where it is read. The ledger keeps no copy of what
+    the bundle and the strategy hold, and no strategy carries a label."""
     assert {f.name for f in dataclasses.fields(xl.PathBundle)} == {
-        "x", "y", "mu", "dt", "seed", "params", "x0", "pi0", "path_offset"}
+        "x", "y", "mu", "params", "sim", "path_offset"}
     assert {f.name for f in dataclasses.fields(xl.WealthLedger)} == {
         "wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt", "dt", "omega", "pi0"}
-    b = simulate_paths(benchmark_params, small_config(x0=0.25))
+    for kind in (xl.ConstantAffine, xl.TimeVaryingAffine, xl.NonlinearFilter, xl.BuyAndHold):
+        assert "name" not in {f.name for f in dataclasses.fields(kind)}
+    cfg = small_config(x0=0.25)
+    b = simulate_paths(benchmark_params, cfg)
+    assert b.sim is cfg
     assert b.z.tobytes() == np.subtract(b.x, b.y).tobytes()
     assert b.model == "ou"
 
