@@ -16,7 +16,7 @@ import numpy as np
 
 
 class ExpSum:
-    """Immutable sum_k c_k * exp(-r_k * t); supports +, -, *, eval, integral."""
+    """Immutable sum_k c_k * exp(-r_k * t); supports +, *, eval, integral."""
 
     __slots__ = ("terms",)
 
@@ -50,9 +50,6 @@ class ExpSum:
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
         return ExpSum([(c, r) for r, c in self.terms] + [(c, r) for r, c in other.terms])
-
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
-        return ExpSum([(c, r) for r, c in self.terms] + [(-c, r) for r, c in other.terms])
 
     def __mul__(self, other: "ExpSum") -> "ExpSum":
         terms = []

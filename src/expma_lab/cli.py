@@ -25,7 +25,7 @@ from dataclasses import replace
 from . import ctmc as ctmc_mod
 from . import ou as ou_mod
 from .errors import ConfigError, NumericError, ValidationError
-from .experiments import ExperimentConfig, emit, run_experiment
+from .experiments import SWEEPS, ExperimentConfig, emit, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if not cfg.experiment.endswith("_sweep"):
+    if cfg.experiment not in SWEEPS:
         raise ConfigError(f"sweep subcommand needs a *_sweep experiment, "
                           f"config says {cfg.experiment!r}")
     reports = run_experiment(cfg)

@@ -28,9 +28,6 @@ from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine)
 from .simulate import expma, run_strategy, simulate_paths
 
-EXPERIMENTS = ("performance", "lambda_sweep", "horizon_sweep", "vol_sweep",
-               "cost_sweep", "pde", "growth_rates", "signal")
-
 # sweep experiment -> (swept parameter, the (params, sim) run at sweep value v)
 SWEEPS = {
     "lambda_sweep": ("lambda", lambda c, v: (c.params.with_lambda(v), c.sim)),
@@ -108,9 +105,9 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
     def validated(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose one of {EXPERIMENTS}")
+                              f"choose one of {tuple(RUNNERS)}")
         if self.experiment in SWEEPS:
             if not self.sweep_values:
                 raise ConfigError(f"{self.experiment} requires non-empty sweep_values")
@@ -147,12 +144,6 @@ class ReportRow:
             "metrics": self.metrics.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportRow":
-        return cls(experiment=d["experiment"], strategy=d["strategy"],
-                   sweep_param=d["sweep_param"], sweep_value=d["sweep_value"],
-                   metrics=MetricsReport.from_dict(d["metrics"]))
-
 
 @dataclass(frozen=True)
 class ReportSet:
@@ -167,12 +158,6 @@ class ReportSet:
             "extras": self.extras,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportSet":
-        payload = json.loads(text)
-        return cls(rows=tuple(ReportRow.from_dict(r) for r in payload["rows"]),
-                   metadata=payload["metadata"], extras=payload.get("extras", {}))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -253,59 +238,46 @@ def _metadata(config: ExperimentConfig) -> dict:
 def run_experiment(config: ExperimentConfig) -> ReportSet:
     """Dispatch one experiment; see the module docstring for reproducibility."""
     config = config.validated()
-    md = _metadata(config)
-    handler = {
-        "performance": _run_performance,
-        "lambda_sweep": _sweep_rows,
-        "horizon_sweep": _sweep_rows,
-        "vol_sweep": _sweep_rows,
-        "cost_sweep": _run_cost_sweep,
-        "growth_rates": _run_growth_rates,
-        "pde": _run_pde,
-        "signal": _run_signal,
-    }[config.experiment]
-    return handler(config, md)
+    return RUNNERS[config.experiment](config, _metadata(config))
 
 
-def _run_performance(config: ExperimentConfig, md: dict) -> ReportSet:
-    bundle = simulate_paths(config.params, config.sim)
-    md["bundle_hashes"].append(bundle.identity_hash())
-    # each ledger goes straight into compute_metrics, so no two are alive at once
-    rows = [ReportRow("performance", name, "", None,
-                      compute_metrics(run_strategy(bundle, strat, config.sim.omega),
-                                      config.sim))
-            for name, strat in build_strategies(config.params, config.sim.horizon_months)]
-    return ReportSet(rows=tuple(rows), metadata=md)
+def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
+    """Draw each run's bundle, then run that bundle's rows on it.
 
-
-def _sweep_rows(config: ExperimentConfig, md: dict) -> ReportSet:
-    param_name, variant = SWEEPS[config.experiment]
+    The panel and the cost sweep draw one bundle (paths do not depend on
+    omega); every other sweep draws one per sweep value.
+    """
+    kind = config.experiment
+    if kind in ("performance", "cost_sweep"):
+        runs = [(None, config.params, config.sim)]
+    else:
+        runs = [(v, *SWEEPS[kind][1](config, v)) for v in config.sweep_values]
+    param_name = SWEEPS[kind][0] if kind in SWEEPS else ""
     rows = []
-    for v in config.sweep_values:
-        p, s = variant(config, v)
+    for v, p, s in runs:
         bundle = simulate_paths(p, s)
         md["bundle_hashes"].append(bundle.identity_hash())
-        strategies = [("growth", _growth_strategy(p))]
-        if config.experiment == "vol_sweep":
-            strategies.append(("buy_hold", BuyAndHold()))
-        for name, strat in strategies:
-            rows.append(ReportRow(config.experiment, name, param_name, v,
-                                  compute_metrics(run_strategy(bundle, strat, s.omega), s)))
+        # each ledger goes straight into compute_metrics, so no two are alive at once
+        rows += [ReportRow(kind, name, param_name, value,
+                           compute_metrics(run_strategy(bundle, strat, omega)))
+                 for name, strat, omega, value in _run_rows(config, p, s, v)]
     return ReportSet(rows=tuple(rows), metadata=md)
 
 
-def _run_cost_sweep(config: ExperimentConfig, md: dict) -> ReportSet:
-    """One bundle serves every cost rate: paths do not depend on omega."""
-    bundle = simulate_paths(config.params, config.sim)
-    md["bundle_hashes"].append(bundle.identity_hash())
-    growth = _growth_strategy(config.params)
-    param_name, variant = SWEEPS["cost_sweep"]
-    sims = [variant(config, omega)[1] for omega in config.sweep_values]
-    rows = [ReportRow("cost_sweep", "growth", param_name, s.omega,
-                      compute_metrics(run_strategy(bundle, growth, s.omega), s)) for s in sims]
-    rows.append(ReportRow("cost_sweep", "buy_hold", param_name, 0.0,
-                          compute_metrics(run_strategy(bundle, BuyAndHold(), 0.0), config.sim)))
-    return ReportSet(rows=tuple(rows), metadata=md)
+def _run_rows(config: ExperimentConfig, p: ModelParams, s: SimConfig, v):
+    """(strategy name, strategy, omega, sweep value) of each row of one run,
+    built once its bundle is drawn."""
+    if config.experiment == "performance":
+        return [(name, strat, s.omega, None)
+                for name, strat in build_strategies(p, s.horizon_months)]
+    growth = _growth_strategy(p)
+    if config.experiment == "cost_sweep":
+        return ([("growth", growth, w, w) for w in config.sweep_values]
+                + [("buy_hold", BuyAndHold(), 0.0, 0.0)])
+    rows = [("growth", growth, s.omega, v)]
+    if config.experiment == "vol_sweep":
+        rows.append(("buy_hold", BuyAndHold(), s.omega, v))
+    return rows
 
 
 def _run_growth_rates(config: ExperimentConfig, md: dict) -> ReportSet:
@@ -392,3 +364,16 @@ def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:
     return ReportSet(rows=(), metadata=md,
                      extras={"signal_csv": out, "n_rows": int(x.size),
                              "dt": dt, "weight_rule": rule})
+
+
+# experiment -> its runner; the one list of experiment names
+RUNNERS = {
+    "performance": _run_monte_carlo,
+    "lambda_sweep": _run_monte_carlo,
+    "horizon_sweep": _run_monte_carlo,
+    "vol_sweep": _run_monte_carlo,
+    "cost_sweep": _run_monte_carlo,
+    "pde": _run_pde,
+    "growth_rates": _run_growth_rates,
+    "signal": _run_signal,
+}

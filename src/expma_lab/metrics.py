@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import SimConfig
 from .simulate import WealthLedger
 
 
@@ -41,21 +40,12 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**d)
 
-
-def compute_metrics(ledger: WealthLedger, config: SimConfig | None = None) -> MetricsReport:
-    """Summarize a ledger; `config`, when given, is cross-checked for shape."""
+def compute_metrics(ledger: WealthLedger) -> MetricsReport:
+    """Summarize a ledger."""
     n, S = ledger.n_paths, ledger.n_steps
     if n == 0 or S == 0:
         raise ValidationError([("ledger", "empty_ledger", "ledger has no paths or steps")])
-    if config is not None:
-        if config.n_paths != n or config.n_steps != S:
-            raise ValidationError([("config", "shape_mismatch",
-                                    f"config says {config.n_paths}x{config.n_steps}, "
-                                    f"ledger is {n}x{S}")])
 
     pi0 = ledger.pi0
     total = (ledger.wealth[:, -1] - pi0) / pi0

@@ -8,6 +8,7 @@ trading day enters only through dt = 1/21 (21 trading days per month).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -282,6 +283,9 @@ def validate(params: ModelParams) -> ModelParams:
             v.append((field, f"nonpositive_{name}", f"{name} must be > 0, got {value}"))
         elif not math.isfinite(value):
             v.append((field, f"nonfinite_{name}", f"{name} must be finite, got {value}"))
+        elif value < sys.float_info.min:  # its squares and rate products underflow
+            v.append((field, f"subnormal_{name}",
+                      f"{name} must be >= {sys.float_info.min:g}, got {value}"))
 
     def finite(field: str, name: str, value: float) -> None:
         if not math.isfinite(value):

@@ -237,13 +237,8 @@ def simulate_paths(params: ModelParams, config: SimConfig,
 
     block = max(256, -(-n // (4 * workers)))
     slices = [slice(i, min(i + block, n)) for i in range(0, n, block)]
-    if workers == 1 or len(slices) == 1:
-        for sl in slices:
-            fill(params, config, path_offset, sl, x, y, mu)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu),
-                          slices))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu), slices))
 
     return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)
 

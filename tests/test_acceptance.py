@@ -65,7 +65,7 @@ def test_criterion_3_strategy_panel_desk_scale(benchmark_params, desk_bundle):
         cfg, bundle = desk_bundle
         results = {}
         for name, strat in xl.build_strategies(benchmark_params, 24.0):
-            results[name] = compute_metrics(run_strategy(bundle, strat, 0.0), cfg)
+            results[name] = compute_metrics(run_strategy(bundle, strat, 0.0))
         expma = ["utility_c1", "utility_c2", "growth"]
         for name in expma:
             assert abs(results[name].total_return - 0.1737) < 0.02
