@@ -303,6 +303,11 @@ def _share_change(f_next, f_cur, pi_cur, ex, e_next, omega: float):
     return numer / (den * e_next)
 
 
+def block_rows(n_steps: int) -> int:
+    """Paths per row block of a wealth grid with `n_steps + 1` columns."""
+    return max(1, LEDGER_BLOCK_BYTES // (8 * (n_steps + 1)))
+
+
 def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
                  force_cost_path: bool = False) -> WealthLedger:
     """Evaluate one strategy on a shared path bundle.
@@ -349,7 +354,7 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     # every step below is elementwise or along one path, so any row blocking
     # gives the same bits; a block small enough to stay in cache avoids
     # streaming a dozen grid-sized temporaries through memory
-    rows = max(1, LEDGER_BLOCK_BYTES // (8 * (S + 1)))
+    rows = block_rows(S)
     for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
         _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],

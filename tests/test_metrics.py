@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import expma_lab as xl
 from expma_lab import (ConstantAffine, MetricsReport, SimConfig,
                        WealthLedger, compute_metrics, growth_limit_affine,
                        run_strategy, simulate_paths)
+from expma_lab.simulate import LEDGER_BLOCK_BYTES, block_rows
 
 
 def ledger_from_wealth(wealth, bankrupt=None, dt=1.0 / 21.0, omega=0.0, pi0=1.0):
@@ -65,17 +69,22 @@ def test_bankrupt_paths_split():
     assert m.avg_daily_return == pytest.approx(0.1, rel=1e-12)
 
 
-def test_pooled_fields_ignore_bankrupt_rows_bitwise(benchmark_params):
+@pytest.mark.parametrize("place", ["inside_block", "block_edge"])
+def test_pooled_fields_ignore_bankrupt_rows_bitwise(benchmark_params, place):
     """Without bankrupt paths the wealth grid is pooled as it stands; with one,
-    its non-bankrupt rows are. Both must give the same bits."""
-    cfg = SimConfig(horizon_months=6.0, n_paths=50, seed=11)
+    its non-bankrupt rows are. Both must give the same bits, with the bankrupt
+    row inside a row block or between two of them."""
+    cfg = SimConfig(horizon_months=24.0, n_paths=200, seed=11)
     led = run_strategy(simulate_paths(benchmark_params, cfg),
                        ConstantAffine(*growth_limit_affine(benchmark_params)), 0.0)
     assert not led.bankrupt.any()
+    rows = block_rows(led.n_steps)
+    assert led.n_paths > 2 * rows
+    at = rows // 3 if place == "inside_block" else rows
     frozen = np.full((1, led.n_steps + 1), 0.5)
     frozen[0, 0] = 1.0
-    with_bankrupt = ledger_from_wealth(np.vstack([led.wealth[:20], frozen, led.wealth[20:]]),
-                                       bankrupt=[False] * 20 + [True] + [False] * 30)
+    with_bankrupt = ledger_from_wealth(np.vstack([led.wealth[:at], frozen, led.wealth[at:]]),
+                                       bankrupt=[False] * at + [True] + [False] * (200 - at))
     m_all, m_split = compute_metrics(led), compute_metrics(with_bankrupt)
     assert m_split.bankrupt_count == 1 and m_all.bankrupt_count == 0
     for field in ("avg_daily_return", "sharpe_daily", "sharpe_per_path", "se_avg_daily_return",
@@ -100,3 +109,53 @@ def test_round_trip_dict():
     m = compute_metrics(led)
     again = MetricsReport(**m.to_dict())
     assert again == m
+
+
+def _fsum_moments(wealth, bankrupt):
+    """Two-pass mean and sample std of the pooled daily returns, summed exactly."""
+    w = wealth[~bankrupt]
+    r = (w[:, 1:] / w[:, :-1] - 1.0).ravel().tolist()
+    mean = math.fsum(r) / len(r)
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in r) / (len(r) - 1))
+
+
+@pytest.mark.parametrize("n, steps, every", [
+    (150, 504, 0),     # 64-row blocks, the last one short
+    (3, 40_000, 0),    # a row wider than one block: one row per block
+    (1, 504, 0),
+    (300, 504, 37),    # bankrupt rows scattered across blocks
+])
+def test_pooled_moments_match_exact_sums(n, steps, every):
+    rng = np.random.default_rng(n + steps)
+    wealth = np.cumprod(1.0 + rng.normal(5e-4, 0.01, (n, steps + 1)), axis=1)
+    bankrupt = np.zeros(n, dtype=bool)
+    if every:
+        bankrupt[::every] = True
+    if steps == 40_000:
+        assert 8 * (steps + 1) > LEDGER_BLOCK_BYTES and block_rows(steps) == 1
+    m = compute_metrics(ledger_from_wealth(wealth, bankrupt=bankrupt))
+    mean, sd = _fsum_moments(wealth, bankrupt)
+    assert m.n_days_pooled == (n - bankrupt.sum()) * steps
+    assert m.avg_daily_return == pytest.approx(mean, rel=1e-12)
+    assert m.avg_daily_return / m.sharpe_daily == pytest.approx(sd, rel=1e-12)
+    assert m.se_avg_daily_return == pytest.approx(sd / math.sqrt(m.n_days_pooled), rel=1e-12)
+
+
+def test_one_step_ledgers_are_quiet(benchmark_params):
+    """A one-day row has no sample std: the per-path Sharpe is undefined, and
+    one pooled day leaves the pooled Sharpe undefined too, without a warning."""
+    cfg = SimConfig(horizon_months=1.0 / 21.0, n_paths=5, seed=2)
+    led = run_strategy(simulate_paths(benchmark_params, cfg),
+                       ConstantAffine(*growth_limit_affine(benchmark_params)), 0.0)
+    assert led.n_steps == 1
+    one_day = ledger_from_wealth([[1.0, 1.02], [1.0, 0.5], [1.0, 0.97]],
+                                 bankrupt=[False, True, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = compute_metrics(led)
+        m_one = compute_metrics(one_day)
+    assert m.sharpe_per_path is None
+    assert m.n_days_pooled == 5 and m.sharpe_daily is not None
+    assert m_one.n_days_pooled == 1 and m_one.avg_daily_return == pytest.approx(0.02)
+    assert m_one.sharpe_daily is None and m_one.se_sharpe is None
+    assert m_one.sharpe_per_path is None and m_one.se_avg_daily_return == 0.0

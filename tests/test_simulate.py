@@ -113,6 +113,22 @@ def test_simulate_and_ledger_peak_memory(benchmark_params):
     assert peak < 7.8 * grid, peak / grid
 
 
+def test_metrics_peak_memory(benchmark_params):
+    """The metrics of a 2000 x 505 ledger hold one row block of daily returns
+    at a time, never a grid of them."""
+    cfg = SimConfig(horizon_months=24.0, n_paths=2000, seed=5)
+    grid = 8 * cfg.n_paths * (cfg.n_steps + 1)
+    strat = ConstantAffine(*growth_limit_affine(benchmark_params))
+    led = run_strategy(simulate_paths(benchmark_params, cfg), strat, 0.001)
+    tracemalloc.start()
+    try:
+        xl.compute_metrics(led)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * grid, peak / grid
+
+
 def test_deterministic_limit_constant_drift():
     p = ModelParams(drift=OUDrift(kappa=0.0226, mu_bar=0.0034, delta=1e-12,
                                   m1_0=0.0034, v1_0=0.0), sigma=1e-12, lam=2.0)
