@@ -44,6 +44,9 @@ MAX_PDE_WORK = 512 * MAX_PDE_STEPS
 # Gauss-Legendre points (32 per panel) of the long-run growth's outer integral.
 BETA_NODES = 192
 GROWTH_OUTER_POINTS = 4096
+# Points per block of the filter's table lookup, few enough for the block's
+# temporaries to stay in cache.
+LOOKUP_BLOCK = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -449,13 +452,75 @@ def g_infinity(params: ModelParams, x):
     return val / params.sigma**2
 
 
+class UniformInterp:
+    """`np.interp(z, zs, gs, left, right)` for a `linspace` table `zs`, bit for bit.
+
+    The knot index of a point is one multiply, a floor, a clip and a +-1
+    correction against the knots, not a binary search; the value is
+    then numpy's own `slopes[j] * (z - zs[j]) + gs[j]`. The edge rules are
+    numpy's: `left` below zs[0], `right` above zs[-1], gs[-1] at zs[-1],
+    NaN for NaN. The table must be finite, and a -0.0 in `gs` would read
+    +0.0 at its own knot. Points are walked in blocks of `LOOKUP_BLOCK`, row
+    blocks of a 2-D view, so no copy of a strided input is made.
+    """
+
+    def __init__(self, zs: np.ndarray, gs: np.ndarray, left: float, right: float):
+        self.zs, self.gs, self.left, self.right = zs, gs, left, right
+        # numpy's slopes; the trailing 0 makes the last knot read gs[-1]
+        self.slopes = np.append(np.diff(gs) / np.diff(zs), 0.0)
+        self.inv_h = (zs.size - 1) / (zs[-1] - zs[0])
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        out = np.empty(z.shape)
+        if z.size == 0:
+            return out
+        z2 = z.reshape(-1, z.shape[-1]) if z.ndim else z.reshape(1, 1)
+        out2 = out.reshape(z2.shape)
+        n_rows, n_cols = z2.shape
+        cols = min(n_cols, LOOKUP_BLOCK)
+        rows = min(n_rows, max(1, LOOKUP_BLOCK // n_cols))
+        # one pair of scratch blocks serves every block: no block allocates
+        # more than its masks
+        vals = np.empty((rows, cols))
+        knots = np.empty((rows, cols), dtype=np.intp)
+        # infinite and huge points overflow the guess and the slope term; the
+        # edge rules overwrite what that makes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(0, n_rows, rows):
+                for c in range(0, n_cols, cols):
+                    zb = z2[r:r + rows, c:c + cols]
+                    m, k = zb.shape
+                    self._block(zb, out2[r:r + rows, c:c + cols], vals[:m, :k], knots[:m, :k])
+        return out
+
+    def _block(self, z, out, vals, j) -> None:
+        zs, n = self.zs, self.zs.size
+        # the guess is within one knot of the index; NaN falls to knot 0
+        np.subtract(z, zs[0], out=vals)
+        vals *= self.inv_h
+        np.floor(vals, out=vals)
+        np.fmax(vals, 0.0, out=vals)
+        np.fmin(vals, n - 2, out=vals)
+        np.copyto(j, vals, casting="unsafe")
+        j += z >= np.take(zs[1:], j, out=vals)
+        j -= z < np.take(zs, j, out=vals)
+        np.maximum(j, 0, out=j)
+        np.subtract(z, np.take(zs, j, out=vals), out=out)
+        out *= np.take(self.slopes, j, out=vals)
+        out += np.take(self.gs, j, out=vals)
+        np.copyto(out, self.left, where=z < zs[0])
+        np.copyto(out, self.right, where=z > zs[-1])
+
+
 def filter_strategy(params: ModelParams) -> NonlinearFilter:
     """Tabulated g_infinity as a total, vectorized strategy evaluator.
 
     Evaluated once on 4001 points spanning the shifted support plus 12
-    Gaussian widths each side and linearly interpolated; beyond the grid
-    the filter saturates at its exact asymptotes rho1/sigma^2 and
-    rho2/sigma^2, so the evaluator is total on R.
+    Gaussian widths each side and linearly interpolated by a uniform-grid
+    lookup (`UniformInterp`) with the bits and edge rules of `np.interp`;
+    beyond the grid the filter saturates at its exact asymptotes
+    rho1/sigma^2 and rho2/sigma^2, so the evaluator is total on R.
     """
     d = _drift(params)
     law = stationary_law(params)
@@ -463,12 +528,8 @@ def filter_strategy(params: ModelParams) -> NonlinearFilter:
     pad = 12.0 * math.sqrt(var)
     zs = np.linspace(law.lo + mean - pad, law.hi + mean + pad, 4001)
     gs = g_infinity(params, zs)
-    lo_w, hi_w = d.rho1 / params.sigma**2, d.rho2 / params.sigma**2
-
-    def g(z: np.ndarray) -> np.ndarray:
-        return np.interp(z, zs, gs, left=lo_w, right=hi_w)
-
-    return NonlinearFilter(g=g)
+    return NonlinearFilter(g=UniformInterp(zs, gs, d.rho1 / params.sigma**2,
+                                           d.rho2 / params.sigma**2))
 
 
 def long_run_growth_ctmc(params: ModelParams) -> float:

@@ -48,8 +48,9 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 
 MAX_ELEMENTS = 40_000_000  # n_paths * (n_steps + 1) bound per bundle (~1.3 GB of arrays)
 # Bound per Markov-drift bundle on (alpha + beta) * n_steps * dt * n_paths, at
-# least twice the expected jump count. The jump draw loops in Python, about
-# 0.55 us per jump on a 2-core VM, so the bound is about 5 s of drawing.
+# least twice the expected jump count. The jump draw takes about 0.2 us per
+# jump on a 2-core VM (0.3 us with the rest of the fill), so the bound is
+# about 2 s of drawing.
 MAX_JUMPS = 10_000_000
 # Target bytes per array in one row block of the wealth ledger, small enough
 # for the block's dozen temporaries to stay in cache; at least one path per block.
@@ -91,7 +92,7 @@ class PathBundle:
         h = hashlib.sha256()
         sim = self.sim
         h.update(f"{self.model}|{sim.seed}|{self.path_offset}|{sim.dt!r}|{sim.x0!r}".encode())
-        h.update(self.x.tobytes())
+        h.update(np.ascontiguousarray(self.x))  # the bytes of x.tobytes(), uncopied
         return h.hexdigest()[:16]
 
 
@@ -154,18 +155,56 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
 
 def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
                      alpha: float, beta: float, horizon: float) -> np.ndarray:
-    """Exact jump epochs of the chain on [0, horizon] from one substream."""
-    times = []
+    """Exact jump epochs of the chain on [0, horizon] from one substream.
+
+    Holding times are drawn 32 at a time, which keeps the draws after them
+    at a fixed stream position. The rates alternate from the starting state,
+    and 32 sojourns bring the chain back to it. Each chunk's cumulative sum
+    starts from the carried epoch, so every epoch is the same sequential sum
+    as one sojourn at a time; only the chunk that passes the horizon is
+    searched.
+    """
+    rates = np.array([beta, alpha] * 16 if start_high else [alpha, beta] * 16)
+    parts = []
     t = 0.0
-    high = start_high
     while True:
-        chunk = g.standard_exponential(32)
-        for e in chunk:
-            t += e / (beta if high else alpha)
-            if t > horizon:
-                return np.asarray(times)
-            times.append(t)
-            high = not high
+        epochs = g.standard_exponential(32)
+        epochs /= rates
+        epochs[0] += t
+        np.cumsum(epochs, out=epochs)
+        t = epochs[-1]
+        if t > horizon:
+            parts.append(epochs[:np.searchsorted(epochs, horizon, side="right")])
+            return np.concatenate(parts)
+        parts.append(epochs)
+
+
+def _bounds_per_segment(jumps: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """counts[c]: the grid bounds that exactly c of the sorted `jumps` precede
+    or meet, so that np.repeat(np.arange(jumps.size + 1), counts) is
+    np.searchsorted(jumps, bounds, side="right"). Bounds must be sorted."""
+    first = np.searchsorted(bounds, jumps, side="left")
+    return np.diff(first, prepend=0, append=bounds.size)
+
+
+def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
+                bounds: np.ndarray, state: np.ndarray, d_int: np.ndarray) -> None:
+    """Write the drift of one path at each grid bound into `state` and its
+    exact integral over each step between bounds into `d_int`, given the
+    path's jump epochs."""
+    # piecewise-constant drift: the state on segment c, [jumps[c-1], jumps[c]),
+    # alternates from the starting one
+    seg = np.where((np.arange(jumps.size + 1) % 2 == 0) == start_high, rho2, rho1)
+    # cumulative integral of mu at jump epochs, then linear within sojourns
+    last_jump = np.concatenate(([0.0], jumps))
+    cum = np.concatenate(([0.0], np.cumsum(seg[:-1] * np.diff(last_jump))))
+    k = np.repeat(np.arange(jumps.size + 1), _bounds_per_segment(jumps, bounds))
+    np.take(seg, k, out=state)
+    integral = np.take(last_jump, k)
+    np.subtract(bounds, integral, out=integral)
+    integral *= state
+    np.add(np.take(cum, k), integral, out=integral)
+    np.subtract(integral[1:], integral[:-1], out=d_int)
 
 
 def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
@@ -177,27 +216,24 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     horizon = n_steps * dt
     p_high = d.alpha / (d.alpha + d.beta)
     bounds = np.arange(n_steps + 1) * dt
+    zs = np.empty(n_steps)
 
     lo = sl.start
     for j, g in enumerate(_path_rngs(config.seed, offset + lo, sl.stop - lo)):
         start_high = g.random() < p_high
         jumps = _ctmc_jump_times(g, start_high, d.alpha, d.beta, horizon)
-        zs = g.standard_normal(n_steps)
+        g.standard_normal(out=zs)
 
-        # piecewise-constant drift: state on [jumps[k-1], jumps[k]) alternates
-        k = np.searchsorted(jumps, bounds, side="right")
-        state_of = np.where((k % 2 == 0) == start_high, d.rho2, d.rho1)
-        # cumulative integral of mu at jump epochs, then linear within sojourns
-        seg_states = np.where((np.arange(jumps.size) % 2 == 0) == start_high,
-                              d.rho2, d.rho1)
-        last_jump = np.concatenate(([0.0], jumps))
-        cum = np.concatenate(([0.0], np.cumsum(seg_states * np.diff(last_jump))))
-        d_int = np.diff(cum[k] + state_of * (bounds - last_jump[k]))
-
+        # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
         row = lo + j
+        steps = x[row, 1:]
+        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, mu[row], steps)
+        steps -= 0.5 * sig**2 * dt
+        zs *= sig * sq
+        steps += zs
+        np.cumsum(steps, out=steps)
+        steps += config.x0
         x[row, 0] = config.x0
-        mu[row, :] = state_of
-        x[row, 1:] = config.x0 + np.cumsum(d_int - 0.5 * sig**2 * dt + sig * sq * zs)
 
     expma(x[sl], params.lam, dt, out=y[sl])
 
@@ -325,7 +361,9 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     dt, pi0 = bundle.sim.dt, bundle.sim.pi0
 
     if isinstance(strategy, BuyAndHold):
-        wealth = pi0 * np.exp(x - bundle.sim.x0)
+        wealth = np.subtract(x, bundle.sim.x0)
+        np.exp(wealth, out=wealth)
+        wealth *= pi0
         return WealthLedger(
             wealth=wealth, pre_wealth=wealth[:, 1:].copy(),
             weights=np.ones((n, S)), delta=np.zeros((n, S + 1)),
@@ -369,14 +407,12 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
     """Ledger of one block of paths, written into the block's ledger views;
     zeroes `weights` from each path's bankrupting day on."""
     S = weights.shape[1]
+    # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i;
     # share change and cost per unit of wealth for the trade on day i+1
-    ex = np.exp(np.diff(x, axis=1))
-    e_next = np.exp(x[:, 1:S])
-    d_unit = _share_change(weights[:, 1:], weights[:, :-1], 1.0, ex[:, :S - 1], e_next, omega)
-    cost_unit = omega * np.abs(d_unit) * e_next
-
-    # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i
-    growth = 1.0 - weights + weights * ex
+    d_unit, growth, e_next = _unit_share_change(x, weights, omega)
+    cost_unit = np.abs(d_unit)
+    np.multiply(omega, cost_unit, out=cost_unit)
+    cost_unit *= e_next
 
     wealth[:, 0] = pi0
     factor = wealth[:, 1:]
@@ -399,6 +435,42 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
     np.multiply(wealth[:, :S], growth, out=pre_wealth)
     cost[:] = cost_unit.sum(axis=1)
     bankrupt[:] = frozen[:, -1]
+
+
+def _unit_share_change(x, weights, omega: float):
+    """`_share_change` of every trade of a ledger block at unit wealth, with
+    the same bits; also the block's growth factors 1 - f + f*e^{dX} and
+    e^{X_{i+1}} of each trade.
+
+    At unit wealth the pre-rebalance wealth is the growth factor itself and
+    f_cur * e^{dX} is the term the growth factor already holds, so each is
+    formed once. The sell branch 1 - omega*f is 1 + (-omega*f) to the bit,
+    and (2*omega or 0) - omega is +-omega exactly, so the denominator is
+    1 + (+-omega)*f with the sign of the trade (-0.0 buys), no branch
+    taken per element. No denominator can vanish while |omega*f| < 0.5, so
+    only a block past that scans for a singular one.
+    """
+    S = weights.shape[1]
+    f_next = weights[:, 1:]
+    wx = np.diff(x, axis=1)
+    np.exp(wx, out=wx)
+    wx *= weights
+    growth = np.subtract(1.0, weights)
+    growth += wx
+    numer = np.multiply(f_next, growth[:, :S - 1])
+    numer -= wx[:, :S - 1]
+    den = np.multiply(numer >= 0.0, 2.0 * omega, out=wx[:, :S - 1])
+    den -= omega
+    den *= f_next
+    if ((den.max(initial=0.0) >= 0.5 or den.min(initial=0.0) <= -0.5)
+            and np.any(np.abs(den + 1.0) < 1e-10)):
+        raise LeverageCostSingularityError(
+            "1 +/- omega*f_next vanished; share-change equation singular")
+    den += 1.0
+    e_next = np.exp(x[:, 1:S])
+    den *= e_next
+    numer /= den
+    return numer, growth, e_next
 
 
 def self_financing_residuals(ledger: WealthLedger, bundle: PathBundle):

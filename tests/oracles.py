@@ -116,6 +116,32 @@ def ctmc_drift_integral(params, t, n_paths, seed, init_high=None, forward_kernel
     return acc, mu0
 
 
+def ctmc_jump_times_loop(g, start_high, alpha, beta, horizon):
+    """Jump epochs on [0, horizon] one sojourn at a time, drawing the holding
+    times in chunks of 32 exponentials."""
+    times = []
+    t = 0.0
+    high = start_high
+    while True:
+        for e in g.standard_exponential(32):
+            t += e / (beta if high else alpha)
+            if t > horizon:
+                return np.asarray(times)
+            times.append(t)
+            high = not high
+
+
+def ctmc_drift_by_search(jumps, start_high, rho1, rho2, bounds):
+    """(k, drift at each bound, drift integral over each step) of one path,
+    k[i] = jumps at or before bounds[i] found by searching every bound."""
+    k = np.searchsorted(jumps, bounds, side="right")
+    state_of = np.where((k % 2 == 0) == start_high, rho2, rho1)
+    seg_states = np.where((np.arange(jumps.size) % 2 == 0) == start_high, rho2, rho1)
+    last_jump = np.concatenate(([0.0], jumps))
+    cum = np.concatenate(([0.0], np.cumsum(seg_states * np.diff(last_jump))))
+    return k, state_of, np.diff(cum[k] + state_of * (bounds - last_jump[k]))
+
+
 def mc_log_growth(params, strategy, horizon, n_paths, dt, seed, chunk=200, omega=0.0):
     """Per-path (1/T) log terminal wealth under one strategy, chunked to
     bound memory; exact per-path substreams make the chunking irrelevant."""

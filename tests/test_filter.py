@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from expma_lab import (CTMC2Drift, ModelParams, OutsideSupportError,
                        long_run_growth_ctmc, optimal_growth_affine,
                        p_q_infinity, solve_uv_pde, stationary_law)
 from expma_lab.experiments import ExperimentConfig
-from expma_lab.regime_filter import _beta_nodes
+from expma_lab.regime_filter import UniformInterp, _beta_nodes
 from oracles import ctmc_drift_integral, reference_uv_march
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -313,6 +314,71 @@ def test_g_infinity_bounds_and_strategy(ctmc_params):
     strat = filter_strategy(ctmc_params)
     w = strat.weights(0.0, xs)
     assert np.all(w >= d.rho1 / sig2 - 1e-9) and np.all(w <= d.rho2 / sig2 + 1e-9)
+
+
+# --- the filter's table lookup ---------------------------------------------------
+
+def _interp_oracle(look):
+    return lambda z: np.interp(z, look.zs, look.gs, left=look.left, right=look.right)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_filter_lookup_is_np_interp(ctmc_gentle_params):
+    """The uniform-grid lookup gives np.interp's bits: on every knot and one
+    ulp either side, outside the table, at +-inf and NaN, on empty, 0-d and
+    1-D input (as the signal CLI passes it)."""
+    look = filter_strategy(ctmc_gentle_params).g
+    assert isinstance(look, UniformInterp)
+    zs = look.zs
+    oracle = _interp_oracle(look)
+    pts = np.concatenate([zs, np.nextafter(zs, np.inf), np.nextafter(zs, -np.inf),
+                          [-np.inf, np.inf, np.nan, -np.nan, zs[0] - 1.0, zs[-1] + 1.0,
+                           -1e300, 1e300, 0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (pts, pts[::-1], pts[::3], np.array([]), np.array([np.nan])):
+            assert _same_bits(look(z), oracle(z))
+    for z in (zs[17], zs[-1], np.nan, np.inf, 5.0):
+        assert _same_bits(look(z), np.asarray(oracle(z)))
+    assert np.isnan(look(np.array([np.nan, -np.nan]))).all()
+
+
+@pytest.mark.parametrize("block, shapes", [(7, ((20, 53), (41, 4))),
+                                           (32 * 1024, ((300, 506), (3, 70_001)))])
+def test_filter_lookup_on_strided_views(ctmc_gentle_params, monkeypatch, block, shapes):
+    """Row blocks of a 2-D strided view, as `run_strategy` passes Z, and
+    column blocks of rows longer than a block, give np.interp's bits, the
+    last block of each partial."""
+    monkeypatch.setattr(xl.regime_filter, "LOOKUP_BLOCK", block)
+    look = filter_strategy(ctmc_gentle_params).g
+    oracle = _interp_oracle(look)
+    rng = np.random.default_rng(12)
+    span = look.zs[-1] - look.zs[0]
+    for shape in shapes:
+        grid = look.zs[0] + span * rng.uniform(-0.05, 1.05, shape)
+        on_knots = rng.choice(grid.size, grid.size // 8, replace=False)
+        grid.flat[on_knots] = rng.choice(look.zs, on_knots.size)
+        view = grid[:, 1:-1]
+        assert not view.flags.c_contiguous
+        assert _same_bits(look(view), oracle(view))
+        assert _same_bits(look(grid.T), oracle(grid.T))
+
+
+def test_uniform_interp_any_linspace_table():
+    """On linspace tables off the filter's (a wide offset one, a tiny one,
+    the two-knot one) the lookup keeps np.interp's bits and edge rules."""
+    rng = np.random.default_rng(5)
+    for lo, hi, n in ((-3.0, 5.0, 101), (1e3, 1e3 + 7.25, 4001), (-1e-6, 2e-6, 33), (0.0, 1.0, 2)):
+        zs = np.linspace(lo, hi, n)
+        gs = np.sin(3.0 * zs / (hi - lo)) + rng.normal(0.0, 0.1, n)
+        look = UniformInterp(zs, gs, -2.0, 3.0)
+        z = np.concatenate([zs, np.nextafter(zs, -np.inf), np.nextafter(zs, np.inf),
+                            rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), 5000)])
+        assert _same_bits(look(z), _interp_oracle(look)(z))
 
 
 # --- long-run growth ---------------------------------------------------------------

@@ -11,7 +11,10 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        ModelParams, OUDrift, ResourceLimitError, SimConfig,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
-from oracles import ou_paths_per_path_rng, reference_ledger
+from expma_lab.simulate import (_bounds_per_segment, _ctmc_drift, _ctmc_jump_times,
+                                _path_rngs, _share_change, _unit_share_change)
+from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, ou_paths_per_path_rng,
+                     reference_ledger)
 
 
 def small_config(**kw):
@@ -65,6 +68,41 @@ def test_ou_fill_matches_per_path_generators(benchmark_params, monkeypatch, tile
     assert np.array_equal(b.y, y)
     assert np.array_equal(b.mu, mu)
     assert np.array_equal(b.z, x - y)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0), (40.0, 25.0)])
+def test_ctmc_jump_times_match_sojourn_loop(alpha, beta):
+    """The chunked jump draw gives the epochs of one sojourn at a time, bit
+    for bit, and leaves the stream where the loop leaves it."""
+    horizon = 12.0
+    for p, (g, g_ref) in enumerate(zip(_path_rngs(11, 0, 30), _path_rngs(11, 0, 30))):
+        start_high = p % 2 == 0
+        jumps = _ctmc_jump_times(g, start_high, alpha, beta, horizon)
+        ref = ctmc_jump_times_loop(g_ref, start_high, alpha, beta, horizon)
+        assert jumps.dtype == ref.dtype and jumps.tobytes() == ref.tobytes()
+        assert g.standard_normal(4).tobytes() == g_ref.standard_normal(4).tobytes()
+
+
+def test_ctmc_drift_matches_bound_search():
+    """Searching the jumps into the grid bounds gives the k, drift and drift
+    increments of searching every bound into the jumps, bit for bit: with
+    no jump, jumps on grid bounds (the first and the last among them), two
+    jumps inside one step, and drawn epochs."""
+    dt = 1.0 / 21.0
+    bounds = np.arange(253) * dt
+    rng = np.random.default_rng(4)
+    drawn = np.cumsum(rng.standard_exponential(40) / 3.5)
+    cases = [np.array([]), bounds[[0, 5, 9, 10, 252]], np.array([bounds[3] + 0.1 * dt,
+             bounds[3] + 0.2 * dt, bounds[7]]), drawn[drawn <= bounds[-1]]]
+    for jumps in cases:
+        counts = _bounds_per_segment(jumps, bounds)
+        for start_high in (False, True):
+            k, state_of, d_int = ctmc_drift_by_search(jumps, start_high, -0.2, 0.3, bounds)
+            assert np.array_equal(np.repeat(np.arange(jumps.size + 1), counts), k)
+            state, steps = np.empty(bounds.size), np.empty(bounds.size - 1)
+            _ctmc_drift(jumps, start_high, -0.2, 0.3, bounds, state, steps)
+            assert state.tobytes() == state_of.tobytes()
+            assert steps.tobytes() == d_int.tobytes()
 
 
 def test_bundle_invariants(benchmark_params, ctmc_params):
@@ -234,6 +272,43 @@ def test_delta_singularity():
     # selling down to f_next = 1/omega makes the sell-branch denominator vanish
     with pytest.raises(LeverageCostSingularityError):
         rebalance_delta(100.0, 300.0, 1.0, 0.0, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.01])
+def test_ledger_share_change_matches_share_change(omega):
+    """The ledger's per-unit share change has the bits of `_share_change` at
+    unit wealth: on the 40x-leverage paths, bankrupt rows among them, and on
+    trades between signed zero weights, where a -0.0 numerator buys."""
+    lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
+    b = simulate_paths(lev, SimConfig(horizon_months=12.0, n_paths=64, seed=3))
+    strat = ConstantAffine(0.0, 40.0)
+    assert run_strategy(b, strat, omega).bankrupt.any()
+    S = b.n_steps
+    weights = np.empty((b.n_paths, S))
+    weights[:, 0] = 1.0
+    weights[:, 1:] = strat.weights(np.arange(1, S) * b.sim.dt, b.z[:, 1:S])
+    zeros = np.array([[0.0, -0.0, 0.0, -0.0, -0.0, 60.0, -80.0, 0.0]])
+    zeros_x = np.array([[0.0, 0.01, -0.02, -0.02, 0.01, 0.0, 0.03, -0.01, 0.0]])
+    for f, x in ((weights, b.x), (zeros, zeros_x)):
+        ex, e_next = np.exp(np.diff(x, axis=1)), np.exp(x[:, 1:-1])
+        ref = _share_change(f[:, 1:], f[:, :-1], 1.0, ex[:, :-1], e_next, omega)
+        d_unit, growth, mine_e_next = _unit_share_change(x, f, omega)
+        assert d_unit.tobytes() == ref.tobytes()
+        assert growth.tobytes() == (1.0 - f + f * ex).tobytes()
+        assert mine_e_next.tobytes() == e_next.tobytes()
+
+
+def test_run_strategy_singular_share_change():
+    """omega * f = 1 leaves the sell branch's denominator at 0: the ledger
+    raises on the first day the constant 100x weight sells."""
+    cfg = small_config(n_paths=8)
+    b = simulate_paths(ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.0, delta=0.01),
+                                   sigma=0.2, lam=2.0), cfg)
+    assert 0.01 * 100.0 == 1.0
+    assert np.any(np.diff(b.x[:, 1:], axis=1) < 0.0)  # a selling day
+    with pytest.raises(LeverageCostSingularityError):
+        run_strategy(b, ConstantAffine(0.0, 100.0), 0.01)
+    run_strategy(b, ConstantAffine(0.0, 100.0), 0.005)
 
 
 # --- wealth evolution ---------------------------------------------------------------
