@@ -505,7 +505,7 @@ class UniformInterp:
         np.copyto(j, vals, casting="unsafe")
         j += z >= np.take(zs[1:], j, out=vals)
         j -= z < np.take(zs, j, out=vals)
-        np.maximum(j, 0, out=j)
+        # j = -1 below the table reads the last knot; the left rule overwrites it
         np.subtract(z, np.take(zs, j, out=vals), out=out)
         out *= np.take(self.slopes, j, out=vals)
         out += np.take(self.gs, j, out=vals)

@@ -179,32 +179,28 @@ def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
         parts.append(epochs)
 
 
-def _bounds_per_segment(jumps: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """counts[c]: the grid bounds that exactly c of the sorted `jumps` precede
-    or meet, so that np.repeat(np.arange(jumps.size + 1), counts) is
-    np.searchsorted(jumps, bounds, side="right"). Bounds must be sorted."""
-    first = np.searchsorted(bounds, jumps, side="left")
-    return np.diff(first, prepend=0, append=bounds.size)
-
-
 def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
-                bounds: np.ndarray, state: np.ndarray, d_int: np.ndarray) -> None:
+                bounds: np.ndarray, state: np.ndarray, d_int: np.ndarray) -> np.ndarray:
     """Write the drift of one path at each grid bound into `state` and its
     exact integral over each step between bounds into `d_int`, given the
-    path's jump epochs."""
+    path's jump epochs; return k, the number of jumps at or before each bound."""
     # piecewise-constant drift: the state on segment c, [jumps[c-1], jumps[c]),
     # alternates from the starting one
     seg = np.where((np.arange(jumps.size + 1) % 2 == 0) == start_high, rho2, rho1)
     # cumulative integral of mu at jump epochs, then linear within sojourns
     last_jump = np.concatenate(([0.0], jumps))
     cum = np.concatenate(([0.0], np.cumsum(seg[:-1] * np.diff(last_jump))))
-    k = np.repeat(np.arange(jumps.size + 1), _bounds_per_segment(jumps, bounds))
+    # the jumps are searched into the sorted bounds, not each bound into the
+    # jumps: segment c covers the bounds from jump c-1's first to jump c's
+    first = np.searchsorted(bounds, jumps, side="left")
+    k = np.repeat(np.arange(jumps.size + 1), np.diff(first, prepend=0, append=bounds.size))
     np.take(seg, k, out=state)
     integral = np.take(last_jump, k)
     np.subtract(bounds, integral, out=integral)
     integral *= state
     np.add(np.take(cum, k), integral, out=integral)
     np.subtract(integral[1:], integral[:-1], out=d_int)
+    return k
 
 
 def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,

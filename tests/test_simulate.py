@@ -11,8 +11,8 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        ModelParams, OUDrift, ResourceLimitError, SimConfig,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
-from expma_lab.simulate import (_bounds_per_segment, _ctmc_drift, _ctmc_jump_times,
-                                _path_rngs, _share_change, _unit_share_change)
+from expma_lab.simulate import (_ctmc_drift, _ctmc_jump_times, _path_rngs, _share_change,
+                                _unit_share_change)
 from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, ou_paths_per_path_rng,
                      reference_ledger)
 
@@ -95,12 +95,10 @@ def test_ctmc_drift_matches_bound_search():
     cases = [np.array([]), bounds[[0, 5, 9, 10, 252]], np.array([bounds[3] + 0.1 * dt,
              bounds[3] + 0.2 * dt, bounds[7]]), drawn[drawn <= bounds[-1]]]
     for jumps in cases:
-        counts = _bounds_per_segment(jumps, bounds)
         for start_high in (False, True):
             k, state_of, d_int = ctmc_drift_by_search(jumps, start_high, -0.2, 0.3, bounds)
-            assert np.array_equal(np.repeat(np.arange(jumps.size + 1), counts), k)
             state, steps = np.empty(bounds.size), np.empty(bounds.size - 1)
-            _ctmc_drift(jumps, start_high, -0.2, 0.3, bounds, state, steps)
+            assert np.array_equal(_ctmc_drift(jumps, start_high, -0.2, 0.3, bounds, state, steps), k)
             assert state.tobytes() == state_of.tobytes()
             assert steps.tobytes() == d_int.tobytes()
 
@@ -277,8 +275,9 @@ def test_delta_singularity():
 @pytest.mark.parametrize("omega", [0.0, 0.01])
 def test_ledger_share_change_matches_share_change(omega):
     """The ledger's per-unit share change has the bits of `_share_change` at
-    unit wealth: on the 40x-leverage paths, bankrupt rows among them, and on
-    trades between signed zero weights, where a -0.0 numerator buys."""
+    unit wealth: on the 40x-leverage paths, bankrupt rows among them, on
+    trades between signed zero weights, and on a trade of exactly zero at
+    omega * f = 1, which buys (no singular sell denominator)."""
     lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
     b = simulate_paths(lev, SimConfig(horizon_months=12.0, n_paths=64, seed=3))
     strat = ConstantAffine(0.0, 40.0)
@@ -287,8 +286,8 @@ def test_ledger_share_change_matches_share_change(omega):
     weights = np.empty((b.n_paths, S))
     weights[:, 0] = 1.0
     weights[:, 1:] = strat.weights(np.arange(1, S) * b.sim.dt, b.z[:, 1:S])
-    zeros = np.array([[0.0, -0.0, 0.0, -0.0, -0.0, 60.0, -80.0, 0.0]])
-    zeros_x = np.array([[0.0, 0.01, -0.02, -0.02, 0.01, 0.0, 0.03, -0.01, 0.0]])
+    zeros = np.array([[0.0, -0.0, 0.0, -0.0, -0.0, 60.0, -80.0, 100.0, 100.0]])
+    zeros_x = np.array([[0.0, 0.01, -0.02, -0.02, 0.01, 0.0, 0.03, -0.01, -0.01, 0.02]])
     for f, x in ((weights, b.x), (zeros, zeros_x)):
         ex, e_next = np.exp(np.diff(x, axis=1)), np.exp(x[:, 1:-1])
         ref = _share_change(f[:, 1:], f[:, :-1], 1.0, ex[:, :-1], e_next, omega)
