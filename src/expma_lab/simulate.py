@@ -191,7 +191,7 @@ def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
     last_jump = np.concatenate(([0.0], jumps))
     cum = np.concatenate(([0.0], np.cumsum(seg[:-1] * np.diff(last_jump))))
     # the jumps are searched into the sorted bounds, not each bound into the
-    # jumps: segment c covers the bounds from jump c-1's first to jump c's
+    # jumps: segment c covers the bounds from first[c-1] up to first[c]
     first = np.searchsorted(bounds, jumps, side="left")
     k = np.repeat(np.arange(jumps.size + 1), np.diff(first, prepend=0, append=bounds.size))
     np.take(seg, k, out=state)
