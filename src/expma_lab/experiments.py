@@ -245,7 +245,9 @@ def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
     """Draw each run's bundle, then run that bundle's rows on it.
 
     The panel and the cost sweep draw one bundle (paths do not depend on
-    omega); every other sweep draws one per sweep value.
+    omega). The lambda sweep draws X once, since only Y = ExpMA(X) depends
+    on lambda, and forms each value's Y from it in the bundle's Y buffer;
+    every other sweep draws one bundle per sweep value.
     """
     kind = config.experiment
     if kind in ("performance", "cost_sweep"):
@@ -254,9 +256,15 @@ def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
         runs = [(v, *SWEEPS[kind][1](config, v)) for v in config.sweep_values]
     param_name = SWEEPS[kind][0] if kind in SWEEPS else ""
     rows = []
+    bundle = None
     for v, p, s in runs:
-        bundle = simulate_paths(p, s)
-        md["bundle_hashes"].append(bundle.identity_hash())
+        if kind == "lambda_sweep" and bundle is not None:
+            # the hash covers X and the draw settings, which every value shares
+            bundle = replace(bundle, params=p, y=expma(bundle.x, p.lam, s.dt, out=bundle.y))
+        else:
+            bundle = simulate_paths(p, s)
+            bundle_hash = bundle.identity_hash()
+        md["bundle_hashes"].append(bundle_hash)
         # each ledger goes straight into compute_metrics, so no two are alive at once
         rows += [ReportRow(kind, name, param_name, value,
                            compute_metrics(run_strategy(bundle, strat, omega)))

@@ -10,9 +10,11 @@ with the Markov drift simulated by exact exponential holding times and the
 X increment integrating the piecewise-constant drift exactly across jumps
 inside a step. Every path draws from its own counter-based substream keyed
 (seed, path index), so ensembles are bit-identical for any chunking or
-worker count. The OU recursion runs on time-major tiles and the wealth
-ledger on blocks of paths, each sized to stay in cache; every operation is
-elementwise or along one path, so neither size changes a bit of the result.
+worker count. The OU and ExpMA recursions run on time-major tiles and the
+wealth ledger on blocks of paths, each sized to stay in cache; every
+operation is elementwise or along one path, so neither size changes a bit
+of the result. The ledger's blocks write into one set of temporaries
+allocated once per ledger, so no block allocates its own.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -28,7 +30,8 @@ with the weights evaluated once over the whole (t, Z) grid. All strategies
 start with one share of the risky asset and no cash (f_0 = 1); no trade
 happens on the terminal day. A path is frozen at its first nonpositive
 factor: wealth stays at its last positive value, it trades no more, and it
-is flagged bankrupt.
+is flagged bankrupt. The freeze passes run only in a block where a path
+froze.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ MAX_JUMPS = 10_000_000
 # Target bytes per array in one row block of the wealth ledger, small enough
 # for the block's dozen temporaries to stay in cache; at least one path per block.
 LEDGER_BLOCK_BYTES = 256 * 1024
-# Target bytes per time-major tile of the OU path recursion.
+# Target bytes per time-major tile of the OU path recursion and of the ExpMA
+# recursion (`expma`).
 FILL_TILE_BYTES = 2 * 1024 * 1024
 
 
@@ -97,10 +101,31 @@ class PathBundle:
 
 
 def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
-    """Daily ExpMA of `x` along its last axis, written into `out`; starts at 0."""
-    out[..., 0] = 0.0
-    for i in range(x.shape[-1] - 1):
-        out[..., i + 1] = out[..., i] + lam * (x[..., i] - out[..., i]) * dt
+    """Daily ExpMA of a 1-D or 2-D `x` along its last axis, written into
+    `out`; starts at 0.
+
+    The recursion y[i+1] = y[i] + lam*(x[i] - y[i])*dt runs on time-major
+    tiles: each tile of x is copied into rows, one per step, and each step
+    turns its x row into the next y row in place, with the same operations
+    in the same order (+ and * commute to the bit); then the tile is written
+    back. Row 0 of a tile carries the previous y.
+    """
+    x2, y2 = (x[None], out[None]) if x.ndim == 1 else (x, out)
+    m, steps = x2.shape[0], x2.shape[1] - 1
+    y2[:, 0] = 0.0
+    tile = max(1, min(steps, FILL_TILE_BYTES // (8 * m)))
+    buf = np.zeros((tile + 1, m))
+    rows = list(buf)  # the row views, formed once for every tile
+    for lo in range(0, steps, tile):
+        k = min(tile, steps - lo)
+        buf[1:k + 1] = x2[:, lo:lo + k].T
+        for prev, cur in zip(rows[:k], rows[1:k + 1]):
+            np.subtract(cur, prev, out=cur)
+            np.multiply(cur, lam, out=cur)
+            np.multiply(cur, dt, out=cur)
+            np.add(cur, prev, out=cur)
+        y2[:, lo + 1:lo + k + 1] = buf[1:k + 1].T
+        buf[0] = buf[k]
     return out
 
 
@@ -150,6 +175,8 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
         x[sl, lo + 1:lo + k + 1] = x_t[1:k + 1].T
         mu[sl, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
+    # freed first, the recursion's buffers give the ExpMA's tile its memory
+    del draws, noise, zs, zbars, x_t, mu_t
     expma(x[sl], params.lam, dt, out=y[sl])
 
 
@@ -180,10 +207,12 @@ def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
 
 
 def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
-                bounds: np.ndarray, state: np.ndarray, d_int: np.ndarray) -> np.ndarray:
+                bounds: np.ndarray, state: np.ndarray, d_int: np.ndarray,
+                gather: np.ndarray) -> np.ndarray:
     """Write the drift of one path at each grid bound into `state` and its
     exact integral over each step between bounds into `d_int`, given the
-    path's jump epochs; return k, the number of jumps at or before each bound."""
+    path's jump epochs; return k, the number of jumps at or before each bound.
+    `gather` is a (2, bounds.size) buffer the fill reuses for every path."""
     # piecewise-constant drift: the state on segment c, [jumps[c-1], jumps[c]),
     # alternates from the starting one
     seg = np.where((np.arange(jumps.size + 1) % 2 == 0) == start_high, rho2, rho1)
@@ -195,10 +224,10 @@ def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
     first = np.searchsorted(bounds, jumps, side="left")
     k = np.repeat(np.arange(jumps.size + 1), np.diff(first, prepend=0, append=bounds.size))
     np.take(seg, k, out=state)
-    integral = np.take(last_jump, k)
+    integral = np.take(last_jump, k, out=gather[0])
     np.subtract(bounds, integral, out=integral)
     integral *= state
-    np.add(np.take(cum, k), integral, out=integral)
+    np.add(np.take(cum, k, out=gather[1]), integral, out=integral)
     np.subtract(integral[1:], integral[:-1], out=d_int)
     return k
 
@@ -213,6 +242,7 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     p_high = d.alpha / (d.alpha + d.beta)
     bounds = np.arange(n_steps + 1) * dt
     zs = np.empty(n_steps)
+    gather = np.empty((2, n_steps + 1))
 
     lo = sl.start
     for j, g in enumerate(_path_rngs(config.seed, offset + lo, sl.stop - lo)):
@@ -223,7 +253,7 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
         # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
         row = lo + j
         steps = x[row, 1:]
-        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, mu[row], steps)
+        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, mu[row], steps, gather)
         steps -= 0.5 * sig**2 * dt
         zs *= sig * sq
         steps += zs
@@ -389,24 +419,38 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
     # gives the same bits; a block small enough to stay in cache avoids
     # streaming a dozen grid-sized temporaries through memory
     rows = block_rows(S)
+    scratch = _block_scratch(min(rows, n), S)
     for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
         _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
-                      delta[b], cost[b], bankrupt[b])
+                      delta[b], cost[b], bankrupt[b], scratch)
 
     return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
                         delta=delta, cost=cost, bankrupt=bankrupt, dt=dt,
                         omega=omega, pi0=pi0)
 
 
-def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt):
-    """Ledger of one block of paths, written into the block's ledger views;
-    zeroes `weights` from each path's bankrupting day on."""
+def _block_scratch(rows: int, S: int) -> dict:
+    """The temporaries of a ledger block of up to `rows` paths and `S` weight
+    days, allocated once per ledger so every block reuses the same pages; a
+    block of fewer paths uses their leading rows."""
+    return {"diff": np.empty((rows, S)), "growth": np.empty((rows, S)),
+            "numer": np.empty((rows, S - 1)), "e_next": np.empty((rows, S - 1)),
+            "cost_unit": np.empty((rows, S - 1)),
+            "frozen": np.empty((rows, S), dtype=bool)}
+
+
+def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt,
+                  scratch):
+    """Ledger of one block of paths, written into the block's ledger views
+    through the views of `scratch` (`_block_scratch`); zeroes `weights` from
+    each path's bankrupting day on."""
     S = weights.shape[1]
+    s = {name: a[:x.shape[0]] for name, a in scratch.items()}
     # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i;
     # share change and cost per unit of wealth for the trade on day i+1
-    d_unit, growth, e_next = _unit_share_change(x, weights, omega)
-    cost_unit = np.abs(d_unit)
+    d_unit, growth, e_next = _unit_share_change(x, weights, omega, s)
+    cost_unit = np.abs(d_unit, out=s["cost_unit"])
     np.multiply(omega, cost_unit, out=cost_unit)
     cost_unit *= e_next
 
@@ -415,28 +459,33 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
     factor[:] = growth
     factor[:, :S - 1] -= cost_unit
     # frozen[:, i]: the path went bankrupt on or before the move i -> i+1; its
-    # wealth stays at the last positive value and it trades no more
-    frozen = np.logical_or.accumulate(factor <= 0.0, axis=1)
-    factor[frozen] = 1.0
+    # wealth stays at the last positive value and it trades no more. Only a
+    # block with a nonpositive factor has a path to freeze.
+    frozen = np.less_equal(factor, 0.0, out=s["frozen"])
+    froze = frozen.any()
+    if froze:
+        np.logical_or.accumulate(frozen, axis=1, out=frozen)
+        np.copyto(factor, 1.0, where=frozen)
     np.cumprod(wealth, axis=1, out=wealth)
 
-    # no trade from the bankrupting day on
-    after = frozen[:, :S - 1]
     cost_unit *= wealth[:, :S - 1]
-    cost_unit[after] = 0.0
     np.multiply(wealth[:, :S - 1], d_unit, out=delta[:, 1:S])
-    delta[:, 1:S][after] = 0.0
-    weights[:, 1:][after] = 0.0
-    growth[:, 1:][after] = 1.0
+    if froze:  # no trade from the bankrupting day on
+        after = frozen[:, :S - 1]
+        np.copyto(cost_unit, 0.0, where=after)
+        np.copyto(delta[:, 1:S], 0.0, where=after)
+        np.copyto(weights[:, 1:], 0.0, where=after)
+        np.copyto(growth[:, 1:], 1.0, where=after)
     np.multiply(wealth[:, :S], growth, out=pre_wealth)
-    cost[:] = cost_unit.sum(axis=1)
+    np.sum(cost_unit, axis=1, out=cost)
     bankrupt[:] = frozen[:, -1]
 
 
-def _unit_share_change(x, weights, omega: float):
+def _unit_share_change(x, weights, omega: float, scratch: dict):
     """`_share_change` of every trade of a ledger block at unit wealth, with
     the same bits; also the block's growth factors 1 - f + f*e^{dX} and
-    e^{X_{i+1}} of each trade.
+    e^{X_{i+1}} of each trade. All three are views of `scratch`
+    (`_block_scratch`, sized to the block).
 
     At unit wealth the pre-rebalance wealth is the growth factor itself and
     f_cur * e^{dX} is the term the growth factor already holds, so each is
@@ -448,14 +497,16 @@ def _unit_share_change(x, weights, omega: float):
     """
     S = weights.shape[1]
     f_next = weights[:, 1:]
-    wx = np.diff(x, axis=1)
+    wx = np.subtract(x[:, 1:], x[:, :-1], out=scratch["diff"])
     np.exp(wx, out=wx)
     wx *= weights
-    growth = np.subtract(1.0, weights)
+    growth = np.subtract(1.0, weights, out=scratch["growth"])
     growth += wx
-    numer = np.multiply(f_next, growth[:, :S - 1])
+    numer = np.multiply(f_next, growth[:, :S - 1], out=scratch["numer"])
     numer -= wx[:, :S - 1]
-    den = np.multiply(numer >= 0.0, 2.0 * omega, out=wx[:, :S - 1])
+    # the frozen mask is not formed yet: its head holds the trade's sign
+    buys = np.greater_equal(numer, 0.0, out=scratch["frozen"][:, :S - 1])
+    den = np.multiply(buys, 2.0 * omega, out=wx[:, :S - 1])
     den -= omega
     den *= f_next
     if ((den.max(initial=0.0) >= 0.5 or den.min(initial=0.0) <= -0.5)
@@ -463,7 +514,7 @@ def _unit_share_change(x, weights, omega: float):
         raise LeverageCostSingularityError(
             "1 +/- omega*f_next vanished; share-change equation singular")
     den += 1.0
-    e_next = np.exp(x[:, 1:S])
+    e_next = np.exp(x[:, 1:S], out=scratch["e_next"])
     den *= e_next
     numer /= den
     return numer, growth, e_next

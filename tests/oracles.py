@@ -6,7 +6,10 @@ transition and the signal by its exact conditionally-Gaussian step (drift
 frozen within a step); the chain oracles draw exact exponential jump times
 with a single shared generator and active-path rounds. The reference
 ledger is the day-by-day wealth loop that `run_strategy` vectorises, and
-the reference march the two-array transport loop of `solve_uv_pde`.
+the reference march the two-array transport loop of `solve_uv_pde`. The
+strided ExpMA and the fresh-temporary ledger blocks are the plain forms
+of the simulator's tiled ExpMA and scratch-reusing ledger blocks, which
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -242,6 +245,98 @@ def reference_ledger(bundle, strategy, omega):
     return xl.WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
                            delta=delta, cost=cost, bankrupt=bankrupt,
                            dt=bundle.sim.dt, omega=omega, pi0=bundle.sim.pi0)
+
+
+def expma_strided(x, lam, dt, out):
+    """The ExpMA recursion one step at a time over strided columns of `x`,
+    with fresh temporaries every step. The reference `expma` is compared
+    against, bit for bit."""
+    out[..., 0] = 0.0
+    for i in range(x.shape[-1] - 1):
+        out[..., i + 1] = out[..., i] + lam * (x[..., i] - out[..., i]) * dt
+    return out
+
+
+def ledger_fresh_blocks(bundle, strategy, omega):
+    """`run_strategy`'s ledger over the same row blocks, each block forming
+    its own temporaries and running the freeze passes whether or not a path
+    froze. The reference the scratch-reusing blocks are compared against,
+    bit for bit (not for buy-and-hold)."""
+    import expma_lab as xl
+
+    n, S = bundle.n_paths, bundle.n_steps
+    x, pi0 = bundle.x, bundle.sim.pi0
+    weights = np.empty((n, S))
+    weights[:, 0] = 1.0
+    weights[:, 1:] = strategy.weights(np.arange(1, S) * bundle.sim.dt, bundle.z[:, 1:S])
+    wealth = np.empty((n, S + 1))
+    pre_wealth = np.empty((n, S))
+    delta = np.zeros((n, S + 1))
+    cost = np.empty(n)
+    bankrupt = np.empty(n, dtype=bool)
+    rows = xl.simulate.block_rows(S)
+    for lo in range(0, n, rows):
+        b = slice(lo, lo + rows)
+        _ledger_block_fresh(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
+                            delta[b], cost[b], bankrupt[b])
+    return xl.WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
+                           delta=delta, cost=cost, bankrupt=bankrupt,
+                           dt=bundle.sim.dt, omega=omega, pi0=pi0)
+
+
+def _ledger_block_fresh(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt):
+    S = weights.shape[1]
+    d_unit, growth, e_next = _unit_share_change_fresh(x, weights, omega)
+    cost_unit = np.abs(d_unit)
+    np.multiply(omega, cost_unit, out=cost_unit)
+    cost_unit *= e_next
+
+    wealth[:, 0] = pi0
+    factor = wealth[:, 1:]
+    factor[:] = growth
+    factor[:, :S - 1] -= cost_unit
+    frozen = np.logical_or.accumulate(factor <= 0.0, axis=1)
+    factor[frozen] = 1.0
+    np.cumprod(wealth, axis=1, out=wealth)
+
+    after = frozen[:, :S - 1]
+    cost_unit *= wealth[:, :S - 1]
+    cost_unit[after] = 0.0
+    np.multiply(wealth[:, :S - 1], d_unit, out=delta[:, 1:S])
+    delta[:, 1:S][after] = 0.0
+    weights[:, 1:][after] = 0.0
+    growth[:, 1:][after] = 1.0
+    np.multiply(wealth[:, :S], growth, out=pre_wealth)
+    cost[:] = cost_unit.sum(axis=1)
+    bankrupt[:] = frozen[:, -1]
+
+
+def _unit_share_change_fresh(x, weights, omega):
+    """(share change, growth factor, e^{X_{i+1}}) of every trade of a ledger
+    block at unit wealth, each a new array."""
+    import expma_lab as xl
+
+    S = weights.shape[1]
+    f_next = weights[:, 1:]
+    wx = np.diff(x, axis=1)
+    np.exp(wx, out=wx)
+    wx *= weights
+    growth = np.subtract(1.0, weights)
+    growth += wx
+    numer = np.multiply(f_next, growth[:, :S - 1])
+    numer -= wx[:, :S - 1]
+    den = np.multiply(numer >= 0.0, 2.0 * omega, out=wx[:, :S - 1])
+    den -= omega
+    den *= f_next
+    if ((den.max(initial=0.0) >= 0.5 or den.min(initial=0.0) <= -0.5)
+            and np.any(np.abs(den + 1.0) < 1e-10)):
+        raise xl.LeverageCostSingularityError(
+            "1 +/- omega*f_next vanished; share-change equation singular")
+    den += 1.0
+    e_next = np.exp(x[:, 1:S])
+    den *= e_next
+    numer /= den
+    return numer, growth, e_next
 
 
 def reference_uv_march(params, t_max, nx=512, snapshot_times=None):

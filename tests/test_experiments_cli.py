@@ -91,11 +91,41 @@ def test_lambda_sweep_rows_and_validation():
     rs = run_experiment(ExperimentConfig.from_dict(d))
     assert [r.sweep_value for r in rs.rows] == [42 / 11, 2.0, 42 / 51]
     assert all(r.sweep_param == "lambda" for r in rs.rows)
-    # one bundle per sweep value; lambda moves Y only, so the hashed X is shared
+    # one hash per sweep value; lambda moves Y only, so the hashed X is shared
     assert rs.metadata["bundle_hashes"] == 3 * rs.metadata["bundle_hashes"][:1]
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(
             config_dict(experiment="lambda_sweep", sweep_values=[])))
+
+
+@pytest.mark.parametrize("drift, values", [
+    (BENCHMARK_DRIFT, [42 / 11, 2.0, 42 / 51]),
+    ({"type": "ctmc2", "rho1": -0.2, "rho2": 0.3, "alpha": 1.0, "beta": 1.0}, [2.5, 0.7]),
+])
+def test_lambda_sweep_draws_x_once(monkeypatch, drift, values):
+    """The lambda sweep draws its paths once and forms each value's Y from
+    that draw: one `simulate_paths` call, and the rows and hashes, bit for
+    bit, of one draw per value."""
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return xl.simulate_paths(*a, **kw)
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths", counted)
+    d = config_dict(experiment="lambda_sweep", n_paths=300, sweep_values=values)
+    d["params"].update(drift=dict(drift), **{"lambda": values[0]})
+    cfg = ExperimentConfig.from_dict(d)
+    rs = run_experiment(cfg)
+    assert len(calls) == 1
+    assert len(rs.rows) == len(values) == len(rs.metadata["bundle_hashes"])
+    for row, bundle_hash, v in zip(rs.rows, rs.metadata["bundle_hashes"], values):
+        p = cfg.params.with_lambda(v)
+        bundle = xl.simulate_paths(p, cfg.sim)
+        led = xl.run_strategy(bundle, xl.experiments._growth_strategy(p), cfg.sim.omega)
+        assert row.sweep_value == v
+        assert row.metrics.to_dict() == xl.compute_metrics(led).to_dict()
+        assert bundle_hash == bundle.identity_hash()
 
 
 def test_cost_sweep_monotone_small():

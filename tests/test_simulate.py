@@ -11,10 +11,10 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        ModelParams, OUDrift, ResourceLimitError, SimConfig,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
-from expma_lab.simulate import (_ctmc_drift, _ctmc_jump_times, _path_rngs, _share_change,
-                                _unit_share_change)
-from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, ou_paths_per_path_rng,
-                     reference_ledger)
+from expma_lab.simulate import (_block_scratch, _ctmc_drift, _ctmc_jump_times, _path_rngs,
+                                _share_change, _unit_share_change)
+from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, expma_strided,
+                     ledger_fresh_blocks, ou_paths_per_path_rng, reference_ledger)
 
 
 def small_config(**kw):
@@ -70,6 +70,35 @@ def test_ou_fill_matches_per_path_generators(benchmark_params, monkeypatch, tile
     assert np.array_equal(b.z, x - y)
 
 
+@pytest.fixture(scope="module")
+def long_markov_x(ctmc_gentle_params):
+    cfg = SimConfig(horizon_months=120.0, n_paths=200, seed=13, dt=1.0 / 210.0)
+    return simulate_paths(ctmc_gentle_params, cfg).x
+
+
+@pytest.mark.parametrize("tile", [("bytes", 1), ("steps", 7), ("bytes", 1 << 40)])
+def test_expma_matches_strided_recursion(benchmark_params, long_markov_x, monkeypatch, tile):
+    """The ExpMA on time-major tiles (one step, 7 steps, one tile) has the
+    bits of the strided recursion: on a 1-D price series as the signal
+    passes it, on a 2-point series, into the row slice of a larger `out`
+    as the fills pass it, and on a 200 x 25,201 Markov-drift bundle's X."""
+    ou_x = simulate_paths(benchmark_params, small_config(n_paths=300)).x
+    lam, dt = 3.1, 1.0 / 21.0
+    series = np.log(np.linspace(100.0, 130.0, 61) * (1.0 + 0.01 * np.sin(np.arange(61))))
+    for x, rows in ((series, slice(None)), (np.array([0.3, -0.2]), slice(None)),
+                    (ou_x, slice(100, 250)), (long_markov_x, slice(None))):
+        m = 1 if x.ndim == 1 else len(range(*rows.indices(x.shape[0])))
+        kind, size = tile
+        monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES",
+                            8 * m * size if kind == "steps" else size)
+        out = np.full_like(x, np.nan)
+        xl.simulate.expma(x[rows], lam, dt, out=out[rows])
+        ref = expma_strided(x[rows], lam, dt, np.empty_like(x[rows]))
+        assert out[rows].tobytes() == ref.tobytes()
+        if x.ndim == 2:  # rows outside the slice are left alone
+            assert np.isnan(np.delete(out, np.arange(x.shape[0])[rows], axis=0)).all()
+
+
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0), (40.0, 25.0)])
 def test_ctmc_jump_times_match_sojourn_loop(alpha, beta):
     """The chunked jump draw gives the epochs of one sojourn at a time, bit
@@ -98,7 +127,9 @@ def test_ctmc_drift_matches_bound_search():
         for start_high in (False, True):
             k, state_of, d_int = ctmc_drift_by_search(jumps, start_high, -0.2, 0.3, bounds)
             state, steps = np.empty(bounds.size), np.empty(bounds.size - 1)
-            assert np.array_equal(_ctmc_drift(jumps, start_high, -0.2, 0.3, bounds, state, steps), k)
+            gather = np.empty((2, bounds.size))
+            assert np.array_equal(
+                _ctmc_drift(jumps, start_high, -0.2, 0.3, bounds, state, steps, gather), k)
             assert state.tobytes() == state_of.tobytes()
             assert steps.tobytes() == d_int.tobytes()
 
@@ -291,7 +322,7 @@ def test_ledger_share_change_matches_share_change(omega):
     for f, x in ((weights, b.x), (zeros, zeros_x)):
         ex, e_next = np.exp(np.diff(x, axis=1)), np.exp(x[:, 1:-1])
         ref = _share_change(f[:, 1:], f[:, :-1], 1.0, ex[:, :-1], e_next, omega)
-        d_unit, growth, mine_e_next = _unit_share_change(x, f, omega)
+        d_unit, growth, mine_e_next = _unit_share_change(x, f, omega, _block_scratch(*f.shape))
         assert d_unit.tobytes() == ref.tobytes()
         assert growth.tobytes() == (1.0 - f + f * ex).tobytes()
         assert mine_e_next.tobytes() == e_next.tobytes()
@@ -427,6 +458,23 @@ def test_ledger_matches_reference_loop(ledger_cases, case, omega):
                                    atol=1e-12 * max(np.abs(theirs).max(), 1e-300))
     r1, r2 = self_financing_residuals(led, bundle)
     assert r1 <= 1e-10 and r2 <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.001, 0.01])
+@pytest.mark.parametrize("case", ["ou_constant", "ou_time_varying", "ctmc_filter", "bankruptcy"])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_ledger_matches_fresh_blocks(ledger_cases, monkeypatch, case, omega, rows):
+    """Blocks writing into one scratch set per ledger, with the freeze passes
+    run only in a block where a path froze, give every ledger field of
+    blocks that form their own temporaries and always freeze, bit for bit:
+    at the default block size and at three paths per block."""
+    bundle, strat = ledger_cases[case]
+    if rows is not None:
+        monkeypatch.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", rows * 8 * (bundle.n_steps + 1))
+    led = run_strategy(bundle, strat, omega)
+    ref = ledger_fresh_blocks(bundle, strat, omega)
+    for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
+        assert getattr(led, field).tobytes() == getattr(ref, field).tobytes(), field
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.01])
