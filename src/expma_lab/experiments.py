@@ -1,9 +1,13 @@
 """Config-driven experiments: strategy panels, one-factor sweeps, growth-rate
 tables, transport-grid exports, and the price-file signal pipeline.
 
-Every simulation experiment runs all of its strategies on one shared
-PathBundle (common random numbers), records the bundle's identity hash in
-the report metadata, and is byte-reproducible from (config, seed): the CSV
+Every simulation experiment runs all of its strategies on the same paths
+(common random numbers), streamed over path chunks of about CHUNK_BYTES per
+grid: each chunk is drawn once, every strategy's ledger on it is reduced to
+per-path statistics, and it is dropped, so a run's memory is bounded by one
+chunk, not by `n_paths`. The chunking changes no bit of any report value.
+The report metadata records each run's bundle identity hash and path
+chunks, and every run is byte-reproducible from (config, seed): the CSV
 output carries no timestamp (the JSON metadata does).
 """
 
@@ -23,10 +27,11 @@ from . import ctmc as ctmc_mod
 from . import ou as ou_mod
 from . import regime_filter
 from .errors import ConfigError, ValidationError
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, PathStats, compute_metrics, path_stats
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine)
-from .simulate import expma, run_strategy, simulate_paths
+from .simulate import (BundleHash, check_limits, expma, path_slices, run_strategy,
+                       simulate_paths)
 
 # sweep experiment -> (swept parameter, the (params, sim) run at sweep value v)
 SWEEPS = {
@@ -36,6 +41,10 @@ SWEEPS = {
                       lambda c, v: (c.params, replace(c.sim, horizon_months=v))),
     "cost_sweep": ("omega", lambda c, v: (c.params, replace(c.sim, omega=v))),
 }
+
+# Target bytes per path grid of one chunk of a streamed Monte Carlo run; a
+# chunk holds about nine such grids at once (bundle, ledger, weights).
+CHUNK_BYTES = 16 * 1024 * 1024
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",
                "total_return", "avg_daily_return", "sharpe", "log_growth",
@@ -242,39 +251,75 @@ def run_experiment(config: ExperimentConfig) -> ReportSet:
 
 
 def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
-    """Draw each run's bundle, then run that bundle's rows on it.
+    """Run each run's rows on its paths, streamed over path chunks.
 
-    The panel and the cost sweep draw one bundle (paths do not depend on
-    omega). The lambda sweep draws X once, since only Y = ExpMA(X) depends
-    on lambda, and forms each value's Y from it in the bundle's Y buffer;
-    every other sweep draws one bundle per sweep value.
+    Every run's size is checked against the resource limits before any
+    path is drawn. The panel and the cost sweep are one run (paths do not
+    depend on omega). The lambda sweep's runs share one draw of X, since
+    only Y = ExpMA(X) depends on lambda; every other sweep draws one run
+    per sweep value. The metadata records each run's bundle hash and its
+    path chunks.
     """
     kind = config.experiment
     if kind in ("performance", "cost_sweep"):
         runs = [(None, config.params, config.sim)]
     else:
         runs = [(v, *SWEEPS[kind][1](config, v)) for v in config.sweep_values]
+    for _, p, s in runs:
+        check_limits(p, s)
+    md["path_chunks"] = []
     param_name = SWEEPS[kind][0] if kind in SWEEPS else ""
     rows = []
-    bundle = None
-    for v, p, s in runs:
-        if kind == "lambda_sweep" and bundle is not None:
-            # the hash covers X and the draw settings, which every value shares
-            bundle = replace(bundle, params=p, y=expma(bundle.x, p.lam, s.dt, out=bundle.y))
-        else:
-            bundle = simulate_paths(p, s)
-            bundle_hash = bundle.identity_hash()
-        md["bundle_hashes"].append(bundle_hash)
-        # each ledger goes straight into compute_metrics, so no two are alive at once
-        rows += [ReportRow(kind, name, param_name, value,
-                           compute_metrics(run_strategy(bundle, strat, omega)))
-                 for name, strat, omega, value in _run_rows(config, p, s, v)]
+    for group in ([runs] if kind == "lambda_sweep" else [[run] for run in runs]):
+        rows += _run_streamed(config, group, param_name, md)
     return ReportSet(rows=tuple(rows), metadata=md)
+
+
+def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
+                  md: dict) -> list[ReportRow]:
+    """The report rows of `group`, runs that share the draw of its first.
+
+    Each path chunk is drawn once (a later run of the group forms its Y
+    from the chunk's X in the chunk's Y buffer), every row of every run
+    reduces it to per-path statistics, and then it is dropped: common
+    random numbers hold, and memory is bounded by one chunk, not by
+    `n_paths`. Per-path substreams, row-local statistics and one hash fed
+    the chunks in order give every report value and bundle hash the bits
+    of one unchunked run.
+    """
+    _, p0, s0 = group[0]
+    n = s0.n_paths
+    per_chunk = max(1, CHUNK_BYTES // (8 * (s0.n_steps + 1)))
+    chunks = path_slices(n, -(-n // per_chunk))
+    bundle_hash = BundleHash(p0, s0)
+    cells = [None] * len(group)  # each run's rows, built once its first chunk is drawn
+    for sl in chunks:
+        chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
+                               path_offset=sl.start)
+        bundle_hash.update(chunk.x)
+        for i, (v, p, s) in enumerate(group):
+            if i:
+                chunk = replace(chunk, params=p, y=expma(chunk.x, p.lam, s.dt, out=chunk.y))
+            if cells[i] is None:
+                cells[i] = [(*row, []) for row in _run_rows(config, p, s, v)]
+            # each ledger goes straight into its statistics, so no two are alive at once
+            for _, strat, omega, _, parts in cells[i]:
+                parts.append(path_stats(run_strategy(chunk, strat, omega)))
+        del chunk
+    sizes = [sl.stop - sl.start for sl in chunks]
+    rows = []
+    for cell in cells:
+        md["bundle_hashes"].append(bundle_hash.hexdigest())
+        md["path_chunks"].append({"chunks": len(sizes), "paths_per_chunk": sizes})
+        rows += [ReportRow(config.experiment, name, param_name, value,
+                           compute_metrics(PathStats.concat(parts)))
+                 for name, _, _, value, parts in cell]
+    return rows
 
 
 def _run_rows(config: ExperimentConfig, p: ModelParams, s: SimConfig, v):
     """(strategy name, strategy, omega, sweep value) of each row of one run,
-    built once its bundle is drawn."""
+    built once its first path chunk is drawn."""
     if config.experiment == "performance":
         return [(name, strat, s.omega, None)
                 for name, strat in build_strategies(p, s.horizon_months)]

@@ -7,10 +7,16 @@ paths stay in the total-return average at their frozen value but are
 excluded from the daily-return pooling. Zero return variance yields an
 undefined Sharpe (None), never a number.
 
-The daily returns are formed one row block of non-bankrupt paths at a time,
-and the blocks' pooled moments are merged with the update of Chan, Golub &
-LeVeque ("Algorithms for computing the sample variance", Am. Stat. 37, 1983),
-so memory beyond the ledger is one block, never a grid of returns.
+The metrics come in two stages. `path_stats` is row-local: per path, the
+terminal wealth and bankrupt flag, and the daily-return mean and sample std
+of each non-bankrupt path, formed one row block at a time so memory beyond
+the ledger is one block, never a grid of returns. `compute_metrics` reduces
+those statistics, merging the pooled moments of blocks of `block_rows` paths
+of the non-bankrupt list with the update of Chan, Golub & LeVeque
+("Algorithms for computing the sample variance", Am. Stat. 37, 1983). The
+reduction reads nothing but the per-path statistics, so the statistics of
+any row slices of a ledger, concatenated in row order, give the metrics of
+the whole ledger bit for bit; a run streamed over path chunks relies on it.
 """
 
 from __future__ import annotations
@@ -46,32 +52,46 @@ class MetricsReport:
         return asdict(self)
 
 
-def compute_metrics(ledger: WealthLedger) -> MetricsReport:
-    """Summarize a ledger."""
+@dataclass(frozen=True)
+class PathStats:
+    """The row-local statistics of a ledger's paths (or of several row
+    slices, concatenated in row order), which `compute_metrics` reduces."""
+
+    terminal: np.ndarray  # final wealth of every path
+    bankrupt: np.ndarray  # bankrupt flag of every path
+    means: np.ndarray     # daily-return mean of each non-bankrupt path
+    stds: np.ndarray      # its sample std; 0 for a one-day path
+    n_steps: int
+    dt: float
+    pi0: float
+
+    @property
+    def n_paths(self) -> int:
+        return self.terminal.size
+
+    @classmethod
+    def concat(cls, parts: list["PathStats"]) -> "PathStats":
+        """The statistics of the row slices `parts`, in their order."""
+        first = parts[0]
+        return cls(terminal=np.concatenate([s.terminal for s in parts]),
+                   bankrupt=np.concatenate([s.bankrupt for s in parts]),
+                   means=np.concatenate([s.means for s in parts]),
+                   stds=np.concatenate([s.stds for s in parts]),
+                   n_steps=first.n_steps, dt=first.dt, pi0=first.pi0)
+
+
+def path_stats(ledger: WealthLedger) -> PathStats:
+    """The row-local stage of `compute_metrics`; holds no view of the ledger."""
     n, S = ledger.n_paths, ledger.n_steps
     if n == 0 or S == 0:
         raise ValidationError([("ledger", "empty_ledger", "ledger has no paths or steps")])
 
-    pi0 = ledger.pi0
-    total = (ledger.wealth[:, -1] - pi0) / pi0
-    total_return = float(total.mean())
-    se_total = float(total.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-    bankrupt_count = int(ledger.bankrupt.sum())
     ok = np.flatnonzero(~ledger.bankrupt)
-    n_pooled = ok.size * S
-    if n_pooled == 0:
-        raise ValidationError([("ledger", "all_bankrupt", "no non-bankrupt paths to pool")])
-
-    # Blocks are cut from the non-bankrupt row list, so a bankrupt row moves no
-    # block edge. A block's centred sum of squares comes from its row means and
-    # stds, which the per-path Sharpe needs anyway.
-    rows = min(block_rows(S), ok.size)
-    daily = np.empty((rows, S))
-    gathered = np.empty((rows, S + 1)) if bankrupt_count else None
     means = np.empty(ok.size)
     stds = np.zeros(ok.size)  # a one-day row has no sample std and adds no spread
-    count, avg_daily, m2 = 0, 0.0, 0.0
+    rows = max(1, min(block_rows(S), ok.size))
+    daily = np.empty((rows, S))
+    gathered = np.empty((rows, S + 1)) if ok.size < n else None
     for lo in range(0, ok.size, rows):
         b = slice(lo, lo + rows)
         if gathered is None:
@@ -83,16 +103,41 @@ def compute_metrics(ledger: WealthLedger) -> MetricsReport:
         means[b] = r.mean(axis=1)
         if S > 1:
             stds[b] = r.std(axis=1, ddof=1)
+    return PathStats(terminal=ledger.wealth[:, -1].copy(), bankrupt=ledger.bankrupt.copy(),
+                     means=means, stds=stds, n_steps=S, dt=ledger.dt, pi0=ledger.pi0)
+
+
+def compute_metrics(source: WealthLedger | PathStats) -> MetricsReport:
+    """Summarize a ledger, or the per-path statistics of one."""
+    stats = path_stats(source) if isinstance(source, WealthLedger) else source
+    n, S = stats.n_paths, stats.n_steps
+    pi0 = stats.pi0
+    total = (stats.terminal - pi0) / pi0
+    total_return = float(total.mean())
+    se_total = float(total.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+    bankrupt_count = int(stats.bankrupt.sum())
+    means, stds = stats.means, stats.stds
+    n_pooled = means.size * S
+    if n_pooled == 0:
+        raise ValidationError([("ledger", "all_bankrupt", "no non-bankrupt paths to pool")])
+
+    # Blocks are cut from the non-bankrupt path list, so a bankrupt row moves
+    # no block edge. A block's centred sum of squares comes from its row means
+    # and stds, which the per-path Sharpe needs anyway.
+    rows = block_rows(S)
+    count, avg_daily, m2 = 0, 0.0, 0.0
+    for lo in range(0, means.size, rows):
+        b = slice(lo, lo + rows)
         mean_b = float(means[b].mean())
         m2_b = float((S - 1) * np.square(stds[b]).sum()
                      + S * np.square(means[b] - mean_b).sum())
-        count_b = r.size
+        count_b = means[b].size * S
         d = mean_b - avg_daily
         share = count_b / (count + count_b)
         avg_daily += d * share
         m2 += m2_b + d * d * count * share
         count += count_b
-
     sd_pooled = math.sqrt(m2 / (n_pooled - 1)) if n_pooled > 1 else 0.0
     se_daily = sd_pooled / math.sqrt(n_pooled) if n_pooled > 1 else 0.0
 
@@ -113,8 +158,8 @@ def compute_metrics(ledger: WealthLedger) -> MetricsReport:
         per_path = per_path[np.isfinite(per_path)]
         sharpe_pp = float(per_path.mean()) if per_path.size else None
 
-    T = S * ledger.dt
-    logs = np.log(ledger.wealth[:, -1] / pi0) / T
+    T = S * stats.dt
+    logs = np.log(stats.terminal / pi0) / T
     log_growth = float(logs.mean())
     se_log = float(logs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 

@@ -49,8 +49,12 @@ from .errors import (ConfigError, LeverageCostSingularityError,
 from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy)
 
-MAX_ELEMENTS = 40_000_000  # n_paths * (n_steps + 1) bound per bundle (~1.3 GB of arrays)
-# Bound per Markov-drift bundle on (alpha + beta) * n_steps * dt * n_paths, at
+# Bound on a run's path grid, n_paths * (n_steps + 1), checked (`check_limits`)
+# before its first path chunk is drawn. A streamed run holds one chunk at a
+# time, so this bounds the work of a run, not the memory it holds; a single
+# `simulate_paths` call holds three grids of this size (~1 GB at the bound).
+MAX_ELEMENTS = 40_000_000
+# Bound per Markov-drift run on (alpha + beta) * n_steps * dt * n_paths, at
 # least twice the expected jump count. The jump draw takes about 0.2 us per
 # jump on a 2-core VM (0.3 us with the rest of the fill), so the bound is
 # about 2 s of drawing.
@@ -58,6 +62,10 @@ MAX_JUMPS = 10_000_000
 # Target bytes per array in one row block of the wealth ledger, small enough
 # for the block's dozen temporaries to stay in cache; at least one path per block.
 LEDGER_BLOCK_BYTES = 256 * 1024
+# Fewest paths in a fill block of `simulate_paths` or in a run's path chunk
+# (`path_slices`): the OU and ExpMA time loops pay numpy's per-call overhead
+# once per step per block, so narrower blocks cost time.
+MIN_BLOCK_PATHS = 256
 # Target bytes per time-major tile of the OU path recursion and of the ExpMA
 # recursion (`expma`).
 FILL_TILE_BYTES = 2 * 1024 * 1024
@@ -93,11 +101,28 @@ class PathBundle:
         return self.x.shape[1] - 1
 
     def identity_hash(self) -> str:
-        h = hashlib.sha256()
-        sim = self.sim
-        h.update(f"{self.model}|{sim.seed}|{self.path_offset}|{sim.dt!r}|{sim.x0!r}".encode())
-        h.update(np.ascontiguousarray(self.x))  # the bytes of x.tobytes(), uncopied
-        return h.hexdigest()[:16]
+        h = BundleHash(self.params, self.sim, self.path_offset)
+        h.update(self.x)
+        return h.hexdigest()
+
+
+class BundleHash:
+    """The identity hash of a bundle, fed the rows of its x in order.
+
+    Fed one path chunk at a time, from the chunk at offset 0 on, it gives the
+    `identity_hash` of the whole run's bundle: sha256 reads the same bytes.
+    """
+
+    def __init__(self, params: ModelParams, sim: SimConfig, path_offset: int = 0):
+        model = "ou" if params.is_ou else "ctmc2"
+        self._h = hashlib.sha256(
+            f"{model}|{sim.seed}|{path_offset}|{sim.dt!r}|{sim.x0!r}".encode())
+
+    def update(self, x: np.ndarray) -> None:
+        self._h.update(np.ascontiguousarray(x))  # the bytes of x.tobytes(), uncopied
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()[:16]
 
 
 def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
@@ -264,20 +289,15 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     expma(x[sl], params.lam, dt, out=y[sl])
 
 
-def simulate_paths(params: ModelParams, config: SimConfig,
-                   path_offset: int = 0) -> PathBundle:
-    """Generate a seeded ensemble; deterministic for fixed (seed, offsets).
-
-    `path_offset` shifts the substream indices so large runs can be built
-    in chunks that agree bitwise with a single monolithic call. EXPMA_THREADS
-    (default 1) sets the threads that fill disjoint path blocks.
-    """
+def check_limits(params: ModelParams, config: SimConfig) -> None:
+    """Raise ResourceLimitError if the run (params, config) passes
+    MAX_ELEMENTS or MAX_JUMPS, judged on all of its `n_paths`."""
     n_steps = config.n_steps
     n = config.n_paths
     if n * (n_steps + 1) > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"n_paths*(n_steps+1) = {n * (n_steps + 1)} exceeds {MAX_ELEMENTS}; "
-            "simulate in path chunks (path_offset) instead")
+            "lower n_paths or the horizon")
     if params.is_ctmc:
         d = params.drift
         jumps = (d.alpha + d.beta) * n_steps * config.dt * n
@@ -286,6 +306,27 @@ def simulate_paths(params: ModelParams, config: SimConfig,
                 f"(alpha+beta)*n_steps*dt*n_paths = {jumps:.3g} jumps exceeds {MAX_JUMPS}; "
                 "lower the jump rates, the horizon or n_paths")
 
+
+def path_slices(n: int, parts: int) -> list[slice]:
+    """Rows 0..n-1 cut into at most `parts` consecutive slices whose sizes
+    differ by at most one, none under MIN_BLOCK_PATHS rows (one slice when
+    `n` is smaller)."""
+    parts = max(1, min(parts, n // MIN_BLOCK_PATHS))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+def simulate_paths(params: ModelParams, config: SimConfig,
+                   path_offset: int = 0) -> PathBundle:
+    """Generate a seeded ensemble; deterministic for fixed (seed, offsets).
+
+    `path_offset` shifts the substream indices so large runs can be built
+    in chunks that agree bitwise with a single monolithic call. EXPMA_THREADS
+    (default 1) sets the threads that fill disjoint path blocks, four
+    balanced blocks per thread.
+    """
+    check_limits(params, config)
+    n_steps = config.n_steps
+    n = config.n_paths
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
     try:
         workers = max(1, int(raw))
@@ -297,10 +338,9 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     mu = np.empty_like(x)
     fill = _fill_ou if params.is_ou else _fill_ctmc
 
-    block = max(256, -(-n // (4 * workers)))
-    slices = [slice(i, min(i + block, n)) for i in range(0, n, block)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu), slices))
+        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu),
+                      path_slices(n, 4 * workers)))
 
     return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)
 

@@ -197,6 +197,90 @@ def test_vol_sweep_has_both_strategies():
     assert len(set(rs.metadata["bundle_hashes"])) == 2  # one bundle per sweep value
 
 
+# --- streamed runs ------------------------------------------------------------------
+
+def chunk_paths(monkeypatch, paths, n_steps):
+    """Stream every run of `n_steps` steps in chunks of about `paths` paths."""
+    monkeypatch.setattr(xl.simulate, "MIN_BLOCK_PATHS", 16)
+    monkeypatch.setattr(xl.experiments, "CHUNK_BYTES", paths * 8 * (n_steps + 1))
+
+
+def markov_config(**kw):
+    d = config_dict(**kw)
+    d["params"] = {"drift": {"type": "ctmc2", "rho1": -0.2, "rho2": 0.3,
+                             "alpha": 1.0, "beta": 1.0}, "sigma": 0.2, "lambda": 2.5}
+    return d
+
+
+STREAMED_CASES = {
+    "ou_performance": config_dict(n_paths=350),
+    # the filter strategy and the CTMC jump fill
+    "markov_performance": markov_config(n_paths=350),
+    "lambda_sweep": config_dict(experiment="lambda_sweep", n_paths=350,
+                                sweep_values=[42 / 11, 2.0, 42 / 51]),
+    "cost_sweep": config_dict(experiment="cost_sweep", n_paths=350,
+                              sweep_values=[0.0, 0.001, 0.005]),
+}
+
+
+@pytest.mark.parametrize("case, threads", [*((c, "1") for c in STREAMED_CASES),
+                                           ("markov_performance", "2")])
+def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case, threads):
+    """A run cut into path chunks reports the rows and bundle hashes of the
+    same run in one chunk, bit for bit."""
+    monkeypatch.setenv("EXPMA_THREADS", threads)
+    cfg = ExperimentConfig.from_dict(STREAMED_CASES[case])
+    whole = run_experiment(cfg)
+    chunk_paths(monkeypatch, 100, cfg.sim.n_steps)
+    streamed = run_experiment(cfg)
+    assert {c["chunks"] for c in whole.metadata["path_chunks"]} == {1}
+    for c in streamed.metadata["path_chunks"]:
+        sizes = c["paths_per_chunk"]
+        assert c["chunks"] == len(sizes) >= 3 and max(sizes) - min(sizes) <= 1
+        assert sum(sizes) == cfg.sim.n_paths
+    assert streamed.to_csv() == whole.to_csv()
+    assert [r.to_dict() for r in streamed.rows] == [r.to_dict() for r in whole.rows]
+    assert streamed.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
+    if case.endswith("performance"):
+        bundle = xl.simulate_paths(cfg.params, cfg.sim)
+        assert whole.metadata["bundle_hashes"] == [bundle.identity_hash()]
+
+
+def test_streamed_run_peak_memory_does_not_grow_with_paths(monkeypatch):
+    """The traced peak of a streamed one-year panel is set by its chunk, not
+    by `n_paths`: four times the paths, each run in chunks of 400, peak
+    within 10%. What does grow is a few per-path statistics per row."""
+    configs = [ExperimentConfig.from_dict(config_dict(n_paths=n, horizon=12.0))
+               for n in (1200, 4800)]
+    chunk_paths(monkeypatch, 400, configs[0].sim.n_steps)
+    run_experiment(configs[0])  # first-call allocations that persist are not a run's
+    peaks = []
+    for cfg in configs:
+        tracemalloc.start()
+        try:
+            rs = run_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        chunks = cfg.sim.n_paths // 400
+        assert rs.metadata["path_chunks"] == [{"chunks": chunks,
+                                               "paths_per_chunk": [400] * chunks}]
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, config_dict(experiment="vol_sweep", n_paths=300,
+                                             sweep_values=[0.0349, 0.0436]))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    md = json.loads((out / "vol_sweep.json").read_text())["metadata"]
+    assert md["path_chunks"] == 2 * [{"chunks": 1, "paths_per_chunk": [300]}]
+    chunk_paths(monkeypatch, 100, 126)
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    md = json.loads((out / "vol_sweep.json").read_text())["metadata"]
+    assert md["path_chunks"] == 2 * [{"chunks": 3, "paths_per_chunk": [100, 100, 100]}]
+
+
 def test_growth_rates_extras_ou():
     rs = run_experiment(ExperimentConfig.from_dict(config_dict(experiment="growth_rates")))
     assert rs.rows == ()

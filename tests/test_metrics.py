@@ -8,6 +8,7 @@ import expma_lab as xl
 from expma_lab import (ConstantAffine, MetricsReport, SimConfig,
                        WealthLedger, compute_metrics, growth_limit_affine,
                        run_strategy, simulate_paths)
+from expma_lab.metrics import PathStats, path_stats
 from expma_lab.simulate import LEDGER_BLOCK_BYTES, block_rows
 
 
@@ -159,3 +160,47 @@ def test_one_step_ledgers_are_quiet(benchmark_params):
     assert m_one.n_days_pooled == 1 and m_one.avg_daily_return == pytest.approx(0.02)
     assert m_one.sharpe_daily is None and m_one.se_sharpe is None
     assert m_one.sharpe_per_path is None and m_one.se_avg_daily_return == 0.0
+
+
+def _with_bankrupt_rows(n, steps, rows, seed=3):
+    """A random wealth grid whose `rows` froze at 0.5 after day 0."""
+    rng = np.random.default_rng(seed)
+    wealth = np.cumprod(1.0 + rng.normal(5e-4, 0.01, (n, steps + 1)), axis=1)
+    bankrupt = np.zeros(n, dtype=bool)
+    bankrupt[rows] = True
+    wealth[rows, 1:] = 0.5
+    return wealth, bankrupt
+
+
+@pytest.mark.parametrize("n, steps, bankrupt_rows, edges", [
+    # 64-path merge blocks; bankrupt rows on both sides of slice edges, and a
+    # slice that is one bankrupt row
+    (200, 504, [0, 63, 64, 99, 100, 127, 128, 199], [1, 64, 100, 128, 129, 150]),
+    (7, 1, [2, 3], [2, 3, 5]),  # one-step ledger
+    (300, 126, list(range(0, 300, 37)), "random"),
+])
+def test_metrics_of_concatenated_row_slices_are_bitwise(n, steps, bankrupt_rows, edges):
+    """The reduction of the per-path statistics of any row slices,
+    concatenated in row order, is the metrics of the whole ledger, bit for bit."""
+    wealth, bankrupt = _with_bankrupt_rows(n, steps, bankrupt_rows)
+    if edges == "random":
+        edges = sorted(np.random.default_rng(n).choice(np.arange(1, n), 9, replace=False))
+    whole = compute_metrics(ledger_from_wealth(wealth, bankrupt=bankrupt))
+    bounds = [0, *edges, n]
+    parts = [path_stats(ledger_from_wealth(wealth[a:b], bankrupt=bankrupt[a:b]))
+             for a, b in zip(bounds, bounds[1:])]
+    split = compute_metrics(PathStats.concat(parts))
+    assert whole.bankrupt_count == len(bankrupt_rows)
+    assert repr(split) == repr(whole)
+    assert compute_metrics(path_stats(ledger_from_wealth(wealth, bankrupt=bankrupt))) == whole
+
+
+def test_all_bankrupt_slices_raise_only_when_reduced():
+    wealth, bankrupt = _with_bankrupt_rows(6, 20, list(range(6)))
+    parts = [path_stats(ledger_from_wealth(wealth[a:a + 3], bankrupt=bankrupt[a:a + 3]))
+             for a in (0, 3)]
+    assert all(p.means.size == 0 for p in parts)
+    for source in (PathStats.concat(parts), ledger_from_wealth(wealth, bankrupt=bankrupt)):
+        with pytest.raises(xl.ValidationError) as exc:
+            compute_metrics(source)
+        assert exc.value.codes == ["all_bankrupt"]

@@ -206,6 +206,20 @@ def test_deterministic_limit_constant_drift():
     assert np.max(np.abs(b.x[:, -1] - expected)) < 1e-8
 
 
+@pytest.mark.parametrize("n, parts", [(10_000, 3), (10_000, 4), (300, 4), (255, 8),
+                                      (800, 4), (4000, 15), (1, 1)])
+def test_path_slices_are_balanced_and_never_under_the_floor(n, parts):
+    """Fill blocks and run chunks: consecutive, covering every row, sizes
+    within one of each other, and none under MIN_BLOCK_PATHS unless the
+    rows make only one slice."""
+    slices = xl.simulate.path_slices(n, parts)
+    sizes = [s.stop - s.start for s in slices]
+    assert slices[0].start == 0 and slices[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    assert len(slices) <= parts and max(sizes) - min(sizes) <= 1
+    assert min(sizes) >= xl.simulate.MIN_BLOCK_PATHS or len(slices) == 1
+
+
 def test_resource_bound():
     p = ModelParams(drift=OUDrift(kappa=0.0226, mu_bar=0.0034, delta=8.2404e-4),
                     sigma=0.0436, lam=2.0)
