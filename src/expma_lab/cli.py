@@ -86,14 +86,23 @@ def _cmd_strategy(args) -> int:
     return EXIT_OK
 
 
+def _moment_time(text: str) -> float:
+    """One `--times` entry: a number >= 0 (`inf` gives the t -> infinity limit)."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = float("nan")
+    if not (t >= 0):  # NaN fails this too
+        raise ConfigError(f"moment times must be numbers >= 0, got {text!r}")
+    return t
+
+
 def _cmd_moments(args) -> int:
     cfg = _load_config(args).validated()
     p = cfg.params
-    times = [float(s) for s in args.times.split(",")] if args.times else [0.5, 1.0, 12.0]
+    times = [_moment_time(s) for s in args.times.split(",")] if args.times else [0.5, 1.0, 12.0]
     rows = []
     for t in times:
-        if t < 0:
-            raise ConfigError(f"moment times must be >= 0, got {t}")
         if p.is_ou:
             m = ou_mod.ou_moments(p, t)
             rows.append({"t": t, "m1": m.m1, "v1": m.v1, "m2": m.m2,

@@ -11,12 +11,13 @@ The metrics come in two stages. `path_stats` is row-local: per path, the
 terminal wealth and bankrupt flag, and the daily-return mean and sample std
 of each non-bankrupt path, formed one row block at a time so memory beyond
 the ledger is one block, never a grid of returns. `compute_metrics` reduces
-those statistics, merging the pooled moments of blocks of `block_rows` paths
-of the non-bankrupt list with the update of Chan, Golub & LeVeque
-("Algorithms for computing the sample variance", Am. Stat. 37, 1983). The
-reduction reads nothing but the per-path statistics, so the statistics of
-any row slices of a ledger, concatenated in row order, give the metrics of
-the whole ledger bit for bit; a run streamed over path chunks relies on it.
+those statistics in one reduction over the non-bankrupt paths. Each has `S`
+days, so the pooled mean is the mean of the path means, and the pooled
+centred sum of squares is `(S - 1) * sum(stds**2) + S * sum((means - mean)**2)`.
+The reduction reads nothing but the per-path statistics, so the statistics
+of any row slices of a ledger, concatenated in row order, give the metrics
+of the whole ledger bit for bit, and no block, tile or chunk size changes a
+bit of the report; a run streamed over path chunks relies on it.
 """
 
 from __future__ import annotations
@@ -122,22 +123,10 @@ def compute_metrics(source: WealthLedger | PathStats) -> MetricsReport:
     if n_pooled == 0:
         raise ValidationError([("ledger", "all_bankrupt", "no non-bankrupt paths to pool")])
 
-    # Blocks are cut from the non-bankrupt path list, so a bankrupt row moves
-    # no block edge. A block's centred sum of squares comes from its row means
-    # and stds, which the per-path Sharpe needs anyway.
-    rows = block_rows(S)
-    count, avg_daily, m2 = 0, 0.0, 0.0
-    for lo in range(0, means.size, rows):
-        b = slice(lo, lo + rows)
-        mean_b = float(means[b].mean())
-        m2_b = float((S - 1) * np.square(stds[b]).sum()
-                     + S * np.square(means[b] - mean_b).sum())
-        count_b = means[b].size * S
-        d = mean_b - avg_daily
-        share = count_b / (count + count_b)
-        avg_daily += d * share
-        m2 += m2_b + d * d * count * share
-        count += count_b
+    # every pooled path has S days: its std gives the spread within it, its
+    # mean the spread between paths
+    avg_daily = float(means.mean())
+    m2 = float((S - 1) * np.square(stds).sum() + S * np.square(means - avg_daily).sum())
     sd_pooled = math.sqrt(m2 / (n_pooled - 1)) if n_pooled > 1 else 0.0
     se_daily = sd_pooled / math.sqrt(n_pooled) if n_pooled > 1 else 0.0
 

@@ -387,12 +387,8 @@ def rebalance_delta(f_next, f_cur, pi_cur, x_cur, x_next, omega: float):
     applicable 1 +/- omega*f_next denominator is numerically zero.
     """
     x_next = np.asarray(x_next, dtype=float)
-    return _share_change(f_next, f_cur, pi_cur, np.exp(x_next - np.asarray(x_cur, dtype=float)),
-                         np.exp(x_next), omega)
-
-
-def _share_change(f_next, f_cur, pi_cur, ex, e_next, omega: float):
-    """`rebalance_delta` given ex = e^{x_next - x_cur} and e_next = e^{x_next}."""
+    ex = np.exp(x_next - np.asarray(x_cur, dtype=float))
+    e_next = np.exp(x_next)
     f_next = np.asarray(f_next, dtype=float)
     f_cur = np.asarray(f_cur, dtype=float)
     pi_cur = np.asarray(pi_cur, dtype=float)
@@ -410,14 +406,12 @@ def block_rows(n_steps: int) -> int:
     return max(1, LEDGER_BLOCK_BYTES // (8 * (n_steps + 1)))
 
 
-def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float,
-                 force_cost_path: bool = False) -> WealthLedger:
+def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float) -> WealthLedger:
     """Evaluate one strategy on a shared path bundle.
 
     Strategies receive paths, never generate them, so every strategy in an
     experiment consumes identical randomness. Every omega takes the same
-    arithmetic (at omega = 0 the cost term is exactly 0), so
-    `force_cost_path` no longer selects anything; it is kept for callers.
+    arithmetic; at omega = 0 the cost term is exactly 0.
     """
     if not (0.0 <= omega < 1.0):
         raise ValidationError([("omega", "omega_out_of_range",
@@ -522,7 +516,7 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
 
 
 def _unit_share_change(x, weights, omega: float, scratch: dict):
-    """`_share_change` of every trade of a ledger block at unit wealth, with
+    """`rebalance_delta` of every trade of a ledger block at unit wealth, with
     the same bits; also the block's growth factors 1 - f + f*e^{dX} and
     e^{X_{i+1}} of each trade. All three are views of `scratch`
     (`_block_scratch`, sized to the block).

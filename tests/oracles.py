@@ -247,6 +247,15 @@ def reference_ledger(bundle, strategy, omega):
                            dt=bundle.sim.dt, omega=omega, pi0=bundle.sim.pi0)
 
 
+def frictionless_wealth(ledger, bundle):
+    """The frictionless wealth of `ledger`'s weights on `bundle`: pi0 times
+    the running product of the growth factors 1 - f + f e^{dX}, without a
+    cost term or a bankruptcy freeze."""
+    f = ledger.weights
+    factors = (1.0 - f) + np.exp(np.diff(bundle.x, axis=1)) * f
+    return np.cumprod(np.hstack([np.full((ledger.n_paths, 1), ledger.pi0), factors]), axis=1)
+
+
 def expma_strided(x, lam, dt, out):
     """The ExpMA recursion one step at a time over strided columns of `x`,
     with fresh temporaries every step. The reference `expma` is compared

@@ -343,6 +343,24 @@ def test_cli_moments(tmp_path, capsys):
     assert rows[0]["t"] == 0 and abs(rows[0]["m2"]) < 1e-12
 
 
+@pytest.mark.parametrize("markov", [False, True])
+@pytest.mark.parametrize("times, bad", [("abc", "abc"), ("1,,2", ""), ("nan", "nan"),
+                                        ("-1", "-1")])
+def test_cli_moments_rejects_bad_times(tmp_path, capsys, markov, times, bad):
+    """A time that is not a number >= 0 exits 2 naming the value, never a
+    traceback or a NaN report."""
+    d = config_dict()
+    if markov:
+        d["params"] = {"drift": {"type": "ctmc2", "rho1": -0.2, "rho2": 0.3,
+                                 "alpha": 1.0, "beta": 1.0}, "sigma": 0.2, "lambda": 2.5}
+    cfg = write_config(tmp_path, d)
+    assert cli_main(["moments", "--config", cfg, "--times", times]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert repr(bad) in captured.err
+
+
 def test_cli_growth(tmp_path, capsys):
     cfg = write_config(tmp_path, config_dict(experiment="growth_rates"))
     out = tmp_path / "g"

@@ -173,8 +173,8 @@ def _with_bankrupt_rows(n, steps, rows, seed=3):
 
 
 @pytest.mark.parametrize("n, steps, bankrupt_rows, edges", [
-    # 64-path merge blocks; bankrupt rows on both sides of slice edges, and a
-    # slice that is one bankrupt row
+    # bankrupt rows on both sides of slice edges, among them the 64-path
+    # blocks of `path_stats`, and a slice that is one bankrupt row
     (200, 504, [0, 63, 64, 99, 100, 127, 128, 199], [1, 64, 100, 128, 129, 150]),
     (7, 1, [2, 3], [2, 3, 5]),  # one-step ledger
     (300, 126, list(range(0, 300, 37)), "random"),

@@ -12,9 +12,10 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        growth_limit_affine, ou_moments, rebalance_delta,
                        run_strategy, self_financing_residuals, simulate_paths)
 from expma_lab.simulate import (_block_scratch, _ctmc_drift, _ctmc_jump_times, _path_rngs,
-                                _share_change, _unit_share_change)
+                                _unit_share_change)
 from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, expma_strided,
-                     ledger_fresh_blocks, ou_paths_per_path_rng, reference_ledger)
+                     frictionless_wealth, ledger_fresh_blocks, ou_paths_per_path_rng,
+                     reference_ledger)
 
 
 def small_config(**kw):
@@ -319,7 +320,7 @@ def test_delta_singularity():
 
 @pytest.mark.parametrize("omega", [0.0, 0.01])
 def test_ledger_share_change_matches_share_change(omega):
-    """The ledger's per-unit share change has the bits of `_share_change` at
+    """The ledger's per-unit share change has the bits of `rebalance_delta` at
     unit wealth: on the 40x-leverage paths, bankrupt rows among them, on
     trades between signed zero weights, and on a trade of exactly zero at
     omega * f = 1, which buys (no singular sell denominator)."""
@@ -335,7 +336,7 @@ def test_ledger_share_change_matches_share_change(omega):
     zeros_x = np.array([[0.0, 0.01, -0.02, -0.02, 0.01, 0.0, 0.03, -0.01, -0.01, 0.02]])
     for f, x in ((weights, b.x), (zeros, zeros_x)):
         ex, e_next = np.exp(np.diff(x, axis=1)), np.exp(x[:, 1:-1])
-        ref = _share_change(f[:, 1:], f[:, :-1], 1.0, ex[:, :-1], e_next, omega)
+        ref = rebalance_delta(f[:, 1:], f[:, :-1], 1.0, x[:, :-2], x[:, 1:-1], omega)
         d_unit, growth, mine_e_next = _unit_share_change(x, f, omega, _block_scratch(*f.shape))
         assert d_unit.tobytes() == ref.tobytes()
         assert growth.tobytes() == (1.0 - f + f * ex).tobytes()
@@ -369,14 +370,15 @@ def test_buy_and_hold_exact(benchmark_params):
 
 
 def test_frictionless_and_cost_path_bit_identical(benchmark_params):
+    """At omega = 0 the cost arithmetic pays exactly nothing: the wealth is
+    the frictionless product of the growth factors 1 - f + f e^{dX}, bit
+    for bit."""
     cfg = small_config(n_paths=128)
     b = simulate_paths(benchmark_params, cfg)
-    strat = ConstantAffine(*growth_limit_affine(benchmark_params))
-    fast = run_strategy(b, strat, 0.0)
-    slow = run_strategy(b, strat, 0.0, force_cost_path=True)
-    assert np.array_equal(fast.wealth, slow.wealth)
-    assert np.array_equal(fast.delta, slow.delta)
-    assert np.array_equal(fast.weights, slow.weights)
+    led = run_strategy(b, ConstantAffine(*growth_limit_affine(benchmark_params)), 0.0)
+    assert not led.bankrupt.any()
+    assert np.array_equal(led.wealth, frictionless_wealth(led, b))
+    assert np.all(led.cost == 0.0)
 
 
 def test_self_financing_residuals(benchmark_params):
@@ -494,8 +496,8 @@ def test_ledger_matches_fresh_blocks(ledger_cases, monkeypatch, case, omega, row
 @pytest.mark.parametrize("omega", [0.0, 0.01])
 def test_ledger_block_size_invariant(monkeypatch, omega):
     """One path per block, three (odd) and the whole grid give the same
-    bits in every ledger field, with bankrupt paths in rows 2 and 3, either
-    side of the first edge of three-path blocks."""
+    bits in every ledger field and in the metrics, with bankrupt paths in
+    rows 2 and 3, either side of the first edge of three-path blocks."""
     lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
     b = simulate_paths(lev, SimConfig(horizon_months=12.0, n_paths=64, seed=3))
     strat = ConstantAffine(0.0, 5.0)
@@ -506,12 +508,14 @@ def test_ledger_block_size_invariant(monkeypatch, omega):
     b = dataclasses.replace(b, x=b.x[order], y=b.y[order], mu=b.mu[order])
 
     row_bytes = 8 * (b.n_steps + 1)
-    ledgers = []
+    ledgers, metrics = [], []
     for rows in (1, 3, b.n_paths):
         monkeypatch.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", rows * row_bytes)
         ledgers.append(run_strategy(b, strat, omega))
+        metrics.append(xl.compute_metrics(ledgers[-1]))
     assert ledgers[0].bankrupt[2] and ledgers[0].bankrupt[3]
     assert not ledgers[0].bankrupt[1] and not ledgers[0].bankrupt[-1]
-    for led in ledgers[:2]:
+    for led, m in zip(ledgers[:2], metrics[:2]):
         for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
             assert np.array_equal(getattr(led, field), getattr(ledgers[-1], field)), field
+        assert repr(m) == repr(metrics[-1])
