@@ -279,31 +279,30 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
                   md: dict) -> list[ReportRow]:
     """The report rows of `group`, runs that share the draw of its first.
 
-    Each path chunk is drawn once (a later run of the group forms its Y
-    from the chunk's X in the chunk's Y buffer), every row of every run
-    reduces it to per-path statistics, and then it is dropped: common
-    random numbers hold, and memory is bounded by one chunk, not by
-    `n_paths`. Per-path substreams, row-local statistics and one hash fed
-    the chunks in order give every report value and bundle hash the bits
-    of one unchunked run.
+    Every run's rows are built first, so a failing strategy ends the run
+    before it draws. Each path chunk is drawn once (a later run of the group
+    forms its Y from the chunk's X in the chunk's Y buffer), every row of
+    every run reduces it to per-path statistics, and then it is dropped:
+    common random numbers hold, and memory is bounded by one chunk. Per-path
+    substreams, row-local statistics and one hash fed the chunks in order
+    give every report value and bundle hash the bits of one unchunked run.
     """
     _, p0, s0 = group[0]
     n = s0.n_paths
     per_chunk = max(1, CHUNK_BYTES // (8 * (s0.n_steps + 1)))
     chunks = path_slices(n, -(-n // per_chunk))
     bundle_hash = BundleHash(p0, s0)
-    cells = [None] * len(group)  # each run's rows, built once its first chunk is drawn
+    # each run's rows, each with the per-path statistics of every chunk
+    cells = [[(*row, []) for row in _run_rows(config, p, s, v)] for v, p, s in group]
     for sl in chunks:
         chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
                                path_offset=sl.start)
         bundle_hash.update(chunk.x)
-        for i, (v, p, s) in enumerate(group):
+        for i, ((_, p, s), cell) in enumerate(zip(group, cells)):
             if i:
                 chunk = replace(chunk, params=p, y=expma(chunk.x, p.lam, s.dt, out=chunk.y))
-            if cells[i] is None:
-                cells[i] = [(*row, []) for row in _run_rows(config, p, s, v)]
             # each ledger goes straight into its statistics, so no two are alive at once
-            for _, strat, omega, _, parts in cells[i]:
+            for _, strat, omega, _, parts in cell:
                 parts.append(path_stats(run_strategy(chunk, strat, omega)))
         del chunk
     sizes = [sl.stop - sl.start for sl in chunks]
@@ -319,7 +318,7 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
 
 def _run_rows(config: ExperimentConfig, p: ModelParams, s: SimConfig, v):
     """(strategy name, strategy, omega, sweep value) of each row of one run,
-    built once its first path chunk is drawn."""
+    built before its first path chunk is drawn."""
     if config.experiment == "performance":
         return [(name, strat, s.omega, None)
                 for name, strat in build_strategies(p, s.horizon_months)]

@@ -9,8 +9,9 @@ undefined Sharpe (None), never a number.
 
 The metrics come in two stages. `path_stats` is row-local: per path, the
 terminal wealth and bankrupt flag, and the daily-return mean and sample std
-of each non-bankrupt path, formed one row block at a time so memory beyond
-the ledger is one block, never a grid of returns. `compute_metrics` reduces
+of each non-bankrupt path, read from every ledger row as a view one row
+block at a time, so memory beyond the ledger is one block, never a grid of
+returns; the non-bankrupt rows are selected once. `compute_metrics` reduces
 those statistics in one reduction over the non-bankrupt paths. Each has `S`
 days, so the pooled mean is the mean of the path means, and the pooled
 centred sum of squares is `(S - 1) * sum(stds**2) + S * sum((means - mean)**2)`.
@@ -82,30 +83,27 @@ class PathStats:
 
 
 def path_stats(ledger: WealthLedger) -> PathStats:
-    """The row-local stage of `compute_metrics`; holds no view of the ledger."""
+    """The row-local stage of `compute_metrics`, formed on views of every
+    ledger row; the result holds no view of the ledger."""
     n, S = ledger.n_paths, ledger.n_steps
     if n == 0 or S == 0:
         raise ValidationError([("ledger", "empty_ledger", "ledger has no paths or steps")])
 
-    ok = np.flatnonzero(~ledger.bankrupt)
-    means = np.empty(ok.size)
-    stds = np.zeros(ok.size)  # a one-day row has no sample std and adds no spread
-    rows = max(1, min(block_rows(S), ok.size))
+    means = np.empty(n)
+    stds = np.zeros(n)  # a one-day row has no sample std and adds no spread
+    rows = min(block_rows(S), n)
     daily = np.empty((rows, S))
-    gathered = np.empty((rows, S + 1)) if ok.size < n else None
-    for lo in range(0, ok.size, rows):
+    for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
-        if gathered is None:
-            w = ledger.wealth[b]
-        else:
-            w = np.take(ledger.wealth, ok[b], axis=0, out=gathered[:ok[b].size])
+        w = ledger.wealth[b]
         r = np.divide(w[:, 1:], w[:, :-1], out=daily[:w.shape[0]])
         r -= 1.0
         means[b] = r.mean(axis=1)
         if S > 1:
             stds[b] = r.std(axis=1, ddof=1)
+    ok = ~ledger.bankrupt  # every statistic is row-local, so the pooled rows are picked last
     return PathStats(terminal=ledger.wealth[:, -1].copy(), bankrupt=ledger.bankrupt.copy(),
-                     means=means, stds=stds, n_steps=S, dt=ledger.dt, pi0=ledger.pi0)
+                     means=means[ok], stds=stds[ok], n_steps=S, dt=ledger.dt, pi0=ledger.pi0)
 
 
 def compute_metrics(source: WealthLedger | PathStats) -> MetricsReport:

@@ -193,8 +193,8 @@ class SimConfig:
         try:
             fields = dict(
                 horizon_months=float(d["horizon_months"]),
-                n_paths=int(d["n_paths"]),
-                seed=int(d["seed"]),
+                n_paths=_whole(d["n_paths"]),
+                seed=_whole(d["seed"]),
                 dt=float(d.get("dt", DEFAULT_DT)),
                 omega=float(d.get("omega", 0.0)),
                 x0=float(d.get("x0", 0.0)),
@@ -203,6 +203,11 @@ class SimConfig:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError([("sim", "schema", f"missing/invalid field: {exc}")]) from exc
         return cls(**fields)
+
+
+def _whole(value):
+    """An integral float such as 1e4 as an int; any other value as given."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 # --- strategies -------------------------------------------------------------
@@ -345,8 +350,13 @@ def validate_sim(config: SimConfig) -> SimConfig:
         v.append(("horizon_months", "n_steps_too_small",
                   f"horizon_months = {config.horizon_months} is shorter than half a step "
                   f"(dt = {config.dt}); the simulation needs at least one step"))
-    if not (config.n_paths >= 1):
-        v.append(("n_paths", "n_paths_too_small", f"n_paths must be >= 1, got {config.n_paths}"))
+    for name, lo, hi, code in (("n_paths", 1, math.inf, "n_paths_too_small"),
+                               ("seed", 0, 2**64, "seed_out_of_range")):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            v.append((name, f"{name}_not_integer", f"{name} must be an integer, got {value!r}"))
+        elif not lo <= value < hi:
+            v.append((name, code, f"{name} must be in [{lo}, {hi}), got {value}"))
     if not (0.0 <= config.omega < 1.0):
         v.append(("omega", "omega_out_of_range", f"omega must be in [0, 1), got {config.omega}"))
     if not math.isfinite(config.x0):

@@ -157,21 +157,20 @@ def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
 def _path_rngs(seed: int, first: int, count: int):
     """The generators of paths first, ..., first+count-1, in turn.
 
-    Path p draws from a Philox keyed (seed, p) with its counter at 0. One
+    Path p draws from a Philox keyed (seed, p), two uint64 words, counter 0. One
     Philox serves them all: setting its key, counter and buffer to those
     of a fresh generator gives exactly the fresh generator's stream.
     """
-    mask = 0xFFFFFFFFFFFFFFFF
-    g = np.random.Generator(np.random.Philox(key=[seed & mask, 0]))
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     fresh = g.bit_generator.state
     for p in range(first, first + count):
-        fresh["state"]["key"][1] = p & mask
+        fresh["state"]["key"][1] = p
         g.bit_generator.state = fresh
         yield g
 
 
 def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
-             sl: slice, x, y, mu) -> None:
+             sl: slice, x, mu) -> None:
     d: OUDrift = params.drift
     n_steps = config.n_steps
     m = sl.stop - sl.start
@@ -200,9 +199,6 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
         x[sl, lo + 1:lo + k + 1] = x_t[1:k + 1].T
         mu[sl, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
-    # freed first, the recursion's buffers give the ExpMA's tile its memory
-    del draws, noise, zs, zbars, x_t, mu_t
-    expma(x[sl], params.lam, dt, out=y[sl])
 
 
 def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
@@ -258,7 +254,7 @@ def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
 
 
 def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
-               sl: slice, x, y, mu) -> None:
+               sl: slice, x, mu) -> None:
     d: CTMC2Drift = params.drift
     n_steps = config.n_steps
     dt, sig = config.dt, params.sigma
@@ -269,14 +265,13 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     zs = np.empty(n_steps)
     gather = np.empty((2, n_steps + 1))
 
-    lo = sl.start
-    for j, g in enumerate(_path_rngs(config.seed, offset + lo, sl.stop - lo)):
+    rngs = _path_rngs(config.seed, offset + sl.start, sl.stop - sl.start)
+    for row, g in zip(range(sl.start, sl.stop), rngs):
         start_high = g.random() < p_high
         jumps = _ctmc_jump_times(g, start_high, d.alpha, d.beta, horizon)
         g.standard_normal(out=zs)
 
         # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
-        row = lo + j
         steps = x[row, 1:]
         _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, mu[row], steps, gather)
         steps -= 0.5 * sig**2 * dt
@@ -285,8 +280,6 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
         np.cumsum(steps, out=steps)
         steps += config.x0
         x[row, 0] = config.x0
-
-    expma(x[sl], params.lam, dt, out=y[sl])
 
 
 def check_limits(params: ModelParams, config: SimConfig) -> None:
@@ -321,26 +314,25 @@ def simulate_paths(params: ModelParams, config: SimConfig,
 
     `path_offset` shifts the substream indices so large runs can be built
     in chunks that agree bitwise with a single monolithic call. EXPMA_THREADS
-    (default 1) sets the threads that fill disjoint path blocks, four
-    balanced blocks per thread.
+    (default 1) sets the threads; the fill of each of four balanced path blocks
+    per thread draws X and mu, then one ExpMA pass per block forms its Y.
     """
     check_limits(params, config)
-    n_steps = config.n_steps
-    n = config.n_paths
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
     try:
         workers = max(1, int(raw))
     except ValueError as exc:
         raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
-    x = np.empty((n, n_steps + 1), dtype=float)
+    x = np.empty((config.n_paths, config.n_steps + 1), dtype=float)
     y = np.empty_like(x)
     mu = np.empty_like(x)
     fill = _fill_ou if params.is_ou else _fill_ctmc
 
+    blocks = path_slices(config.n_paths, 4 * workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, y, mu),
-                      path_slices(n, 4 * workers)))
+        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, mu), blocks))
+        list(pool.map(lambda sl: expma(x[sl], params.lam, config.dt, out=y[sl]), blocks))
 
     return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)
 

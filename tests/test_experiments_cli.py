@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import expma_lab as xl
@@ -244,6 +244,65 @@ def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case, threads):
     if case.endswith("performance"):
         bundle = xl.simulate_paths(cfg.params, cfg.sim)
         assert whole.metadata["bundle_hashes"] == [bundle.identity_hash()]
+
+
+@st.composite
+def sized_runs(draw):
+    """A small OU or Markov panel, lambda sweep or cost sweep, and a value
+    for every size constant (the chunk and the ledger block in paths) and
+    for EXPMA_THREADS."""
+    experiment = draw(st.sampled_from(["performance", "lambda_sweep", "cost_sweep"]))
+    make = markov_config if draw(st.booleans()) else config_dict
+    kw = {"performance": {},
+          "lambda_sweep": {"sweep_values": [4.0, 3.0]},
+          "cost_sweep": {"sweep_values": [0.0, 0.002]}}[experiment]
+    d = make(experiment=experiment, n_paths=draw(st.integers(20, 200)),
+             horizon=draw(st.sampled_from([0.5, 1.0, 2.0])), **kw)
+    d["sim"]["omega"] = draw(st.sampled_from([0.0, 0.001]))
+    d["sim"]["seed"] = draw(st.integers(0, 2**64 - 1))
+    sizes = {"chunk_paths": draw(st.integers(1, 200)),
+             "MIN_BLOCK_PATHS": draw(st.integers(1, 64)),
+             "block_paths": draw(st.integers(1, 64)),
+             "FILL_TILE_BYTES": draw(st.integers(1, 4096)),
+             "LOOKUP_BLOCK": draw(st.integers(1, 512)),
+             "threads": draw(st.sampled_from(["1", "2"]))}
+    return d, sizes
+
+
+def _bankrupting_markov_panel():
+    """A Markov panel whose low volatility bankrupts part of the levered
+    paths, cut into chunks of 7 paths and ledger blocks of 3."""
+    d = markov_config(n_paths=60, horizon=2.0)
+    d["params"]["sigma"] = 0.08
+    return d, {"chunk_paths": 7, "MIN_BLOCK_PATHS": 2, "block_paths": 3,
+               "FILL_TILE_BYTES": 100, "LOOKUP_BLOCK": 5, "threads": "2"}
+
+
+@settings(max_examples=50, deadline=10_000)
+@example(case=_bankrupting_markov_panel())
+@given(case=sized_runs())
+def test_no_size_constant_changes_a_report_bit(case):
+    """The report CSV, the JSON rows and the bundle hashes of a run are
+    those of the same run at the default sizes, whatever the chunk, fill
+    block, ledger block, tile and lookup sizes and the thread count."""
+    d, sizes = case
+    cfg = ExperimentConfig.from_dict(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EXPMA_THREADS", "1")
+        whole = run_experiment(cfg)
+        row_bytes = 8 * (cfg.sim.n_steps + 1)
+        mp.setattr(xl.experiments, "CHUNK_BYTES", sizes["chunk_paths"] * row_bytes)
+        mp.setattr(xl.simulate, "MIN_BLOCK_PATHS", sizes["MIN_BLOCK_PATHS"])
+        mp.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", sizes["block_paths"] * row_bytes)
+        mp.setattr(xl.simulate, "FILL_TILE_BYTES", sizes["FILL_TILE_BYTES"])
+        mp.setattr(xl.regime_filter, "LOOKUP_BLOCK", sizes["LOOKUP_BLOCK"])
+        mp.setenv("EXPMA_THREADS", sizes["threads"])
+        sized = run_experiment(cfg)
+    assert sized.to_csv() == whole.to_csv()
+    assert [r.to_dict() for r in sized.rows] == [r.to_dict() for r in whole.rows]
+    assert sized.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
+    if case == _bankrupting_markov_panel():
+        assert any(r.metrics.bankrupt_count > 0 for r in whole.rows)
 
 
 def test_streamed_run_peak_memory_does_not_grow_with_paths(monkeypatch):
@@ -520,6 +579,45 @@ def test_cli_rejects_invalid_values_by_code(tmp_path, capsys, section, field, va
     assert f"[{code}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, code", [
+    ("n_paths", 300.7, "n_paths_not_integer"),
+    ("n_paths", True, "n_paths_not_integer"),
+    ("n_paths", "300", "n_paths_not_integer"),
+    ("seed", 7.9, "seed_not_integer"),
+    ("seed", False, "seed_not_integer"),
+    ("seed", -1, "seed_out_of_range"),
+    ("seed", 2**64, "seed_out_of_range"),
+])
+def test_cli_rejects_non_integer_counts_and_seeds(tmp_path, capsys, field, value, code):
+    """A path count or seed that is not an integer in range exits 2 by its
+    code, never truncated or wrapped into another run's."""
+    d = json.loads((CONFIGS / "performance.json").read_text())
+    d["sim"][field] = value
+    cfg = write_config(tmp_path, d)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"[{code}]" in capsys.readouterr().err
+
+
+def test_cli_seed_override_out_of_range_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, config_dict(n_paths=20))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+    assert "[seed_out_of_range]" in capsys.readouterr().err
+
+
+def test_cli_integral_float_counts_and_seeds_run(tmp_path):
+    """JSON spells a large count as a float, such as 1e4: an integral one
+    is the integer."""
+    d = config_dict(horizon=1.0)
+    d["sim"].update(n_paths=1e2, seed=7.0)
+    cfg = write_config(tmp_path, d)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    report = json.loads((out / "performance.json").read_text())
+    assert report["metadata"]["seed"] == 7
+    assert {r["metrics"]["n_paths"] for r in report["rows"]} == {100}
+
+
 # Just off kappa = lambda the OU coefficients lose precision as 1/(kappa - lambda)^2.
 # Unguarded, the exact-integral a1 read 147.67 at eps = 1e-8 and 1.95 at 1e-10
 # (150.08 is right) and exited 3 at 1e-12. Closer than KAPPA_LAMBDA_GUARD *
@@ -577,6 +675,27 @@ def test_cli_numeric_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(xl.experiments.ou_mod, "eta", boom)
     assert cli_main(["growth", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_cli_failing_strategy_exits_before_the_first_draw(tmp_path, monkeypatch):
+    """Every run's rows are built before its first path chunk is drawn, so
+    a strategy that fails ends the run with nothing drawn."""
+    cfg = write_config(tmp_path, config_dict(n_paths=20))
+
+    def boom(*a, **kw):
+        raise xl.QuadratureError("synthetic failure", achieved_tol=1.0)
+
+    draws = []
+    draw = xl.experiments.simulate_paths
+
+    def counted(*a, **kw):
+        draws.append(a)
+        return draw(*a, **kw)
+
+    monkeypatch.setattr(xl.experiments, "build_strategies", boom)
+    monkeypatch.setattr(xl.experiments, "simulate_paths", counted)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert len(draws) == 0
 
 
 def test_console_entry_point(tmp_path):

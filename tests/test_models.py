@@ -100,7 +100,7 @@ def test_sim_config_invariants():
     assert validate_sim(good) is good
     assert good.n_steps == 504
     for kw in (dict(dt=0.0), dict(horizon_months=-1), dict(n_paths=0), dict(omega=1.0),
-               dict(omega=-0.1)):
+               dict(omega=-0.1), dict(n_paths=1.5), dict(seed=-5), dict(seed=2**64)):
         with pytest.raises(ValidationError):
             SimConfig(**{**dict(horizon_months=24, n_paths=100, seed=1), **kw})
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def test_same_seed_bit_identical(benchmark_params):
     for a, b in ((b1.x, b2.x), (b1.y, b2.y), (b1.z, b2.z), (b1.mu, b2.mu)):
         assert np.array_equal(a, b)
     assert b1.identity_hash() == b2.identity_hash()
+
+
+def test_seeds_past_2_63_draw_distinct_paths(benchmark_params):
+    """Every seed in [0, 2**64) keys its own substreams: 2**63 + 12345 and
+    2**63 + 12288 shared a float64-rounded key, with a cast warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = (simulate_paths(benchmark_params, small_config(horizon_months=1.0, n_paths=3,
+                                                              seed=2**63 + k))
+                for k in (12345, 12288))
+        assert not np.array_equal(a.x, b.x)
 
 
 def test_chunked_equals_monolithic(benchmark_params):
