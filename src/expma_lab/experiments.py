@@ -29,7 +29,7 @@ from . import regime_filter
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, PathStats, compute_metrics, path_stats
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
-                     Strategy, TimeVaryingAffine)
+                     Strategy, TimeVaryingAffine, _whole)
 from .simulate import (BundleHash, check_limits, expma, path_slices, run_strategy,
                        simulate_paths)
 
@@ -43,7 +43,7 @@ SWEEPS = {
 }
 
 # Target bytes per path grid of one chunk of a streamed Monte Carlo run; a
-# chunk holds about nine such grids at once (bundle, ledger, weights).
+# chunk holds about seven such grids at once (bundle three, ledger four).
 CHUNK_BYTES = 16 * 1024 * 1024
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",
@@ -85,19 +85,24 @@ class ExperimentConfig:
             pde = d.get("pde") or {}
             sweep = d.get("sweep_values")
             t_max = pde.get("t_max")
+            nx = _whole(pde.get("nx", 512))
+            if isinstance(nx, bool) or not isinstance(nx, int):
+                raise ValidationError([("pde.nx", "nx_not_integer",
+                                        f"nx must be an integer, got {nx!r}")])
+            snapshots = pde.get("snapshot_times")
             return cls(
                 experiment=d["experiment"],
                 params=ModelParams.from_dict(d["params"]),
                 sim=SimConfig.from_dict(d["sim"]),
-                sweep_values=None if sweep is None else tuple(float(v) for v in sweep),
+                sweep_values=None if sweep is None else _numbers("sweep_values", sweep),
                 signal_input=d.get("signal_input"),
                 pde_t_max=None if t_max is None else float(t_max),
-                pde_nx=int(pde.get("nx", 512)),
-                pde_snapshots=(tuple(float(t) for t in pde["snapshot_times"])
-                               if pde.get("snapshot_times") else None),
+                pde_nx=nx,
+                pde_snapshots=(None if snapshots is None
+                               else _numbers("snapshot_times", snapshots) or None),
                 out_dir=d.get("out_dir", "."),
             )
-        except ValidationError:  # a ValueError too; keep its field codes
+        except (ConfigError, ValidationError):  # ValueErrors too; keep their messages
             raise
         except KeyError as exc:
             raise ConfigError(f"config missing required section: {exc}") from exc
@@ -134,6 +139,15 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _numbers(name: str, values) -> tuple[float, ...]:
+    """A JSON array of numbers as floats; any other value, a boolean
+    element included, is a ConfigError."""
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ConfigError(f"{name} must be an array of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)

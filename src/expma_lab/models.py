@@ -217,7 +217,10 @@ class Strategy:
 
     def weights(self, t, z: np.ndarray) -> np.ndarray:
         """Weights at signals `z`; `t` is a scalar or, as the wealth ledger
-        passes it, an array aligned with the last (time) axis of `z`."""
+        passes it, an array aligned with the last (time) axis of `z`. Rows
+        (paths) are evaluated independently: the ledger calls this once
+        per row block of Z, so a row's weights must not depend on the
+        other rows in the call."""
         raise NotImplementedError
 
 

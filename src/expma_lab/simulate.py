@@ -26,7 +26,7 @@ self-financing pair
 
 in closed form. The pair is homogeneous of degree one in wealth, so wealth
 is the cumulative product of daily factors g(f_i, f_{i+1}, dX_i, omega),
-with the weights evaluated once over the whole (t, Z) grid. All strategies
+with Z and the weights formed one ledger row block at a time. All strategies
 start with one share of the risky asset and no cash (f_0 = 1); no trade
 happens on the terminal day. A path is frozen at its first nonpositive
 factor: wealth stays at its last positive value, it trades no more, and it
@@ -427,27 +427,27 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float) -> Wealth
     weights = np.empty((n, S))
     weights[:, 0] = 1.0
     t = np.arange(1, S) * dt
-    # Z on those days is formed in the buffer the weights then overwrite
-    z = np.subtract(x[:, 1:S], bundle.y[:, 1:S], out=weights[:, 1:])
-    weights[:, 1:] = strategy.weights(t, z)
-    finite = np.isfinite(weights).all(axis=0)
-    if not finite.all():
-        t_bad = t[finite.argmin() - 1]
-        raise ValidationError([("strategy", "nonfinite_weight",
-                                f"strategy produced non-finite weights at t={t_bad}")])
-
     wealth = np.empty((n, S + 1))
     pre_wealth = np.empty((n, S))
     delta = np.zeros((n, S + 1))
     cost = np.empty(n)
     bankrupt = np.empty(n, dtype=bool)
-    # every step below is elementwise or along one path, so any row blocking
-    # gives the same bits; a block small enough to stay in cache avoids
-    # streaming a dozen grid-sized temporaries through memory
+    # every step below is elementwise or along one path, and every weight rule
+    # is pointwise per path for a given t, so any row blocking gives the same
+    # bits; a block small enough to stay in cache avoids streaming a dozen
+    # grid-sized temporaries through memory
     rows = block_rows(S)
     scratch = _block_scratch(min(rows, n), S)
     for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
+        # Z is formed in the block's weights, which the strategy's then overwrite
+        z = np.subtract(x[b, 1:S], bundle.y[b, 1:S], out=weights[b, 1:])
+        weights[b, 1:] = strategy.weights(t, z)
+        finite = np.isfinite(weights[b]).all(axis=0)
+        if not finite.all():
+            t_bad = t[finite.argmin() - 1]
+            raise ValidationError([("strategy", "nonfinite_weight",
+                                    f"strategy produced non-finite weights at t={t_bad}")])
         _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
                       delta[b], cost[b], bankrupt[b], scratch)
 

@@ -264,7 +264,6 @@ def sized_runs(draw):
              "MIN_BLOCK_PATHS": draw(st.integers(1, 64)),
              "block_paths": draw(st.integers(1, 64)),
              "FILL_TILE_BYTES": draw(st.integers(1, 4096)),
-             "LOOKUP_BLOCK": draw(st.integers(1, 512)),
              "threads": draw(st.sampled_from(["1", "2"]))}
     return d, sizes
 
@@ -275,7 +274,7 @@ def _bankrupting_markov_panel():
     d = markov_config(n_paths=60, horizon=2.0)
     d["params"]["sigma"] = 0.08
     return d, {"chunk_paths": 7, "MIN_BLOCK_PATHS": 2, "block_paths": 3,
-               "FILL_TILE_BYTES": 100, "LOOKUP_BLOCK": 5, "threads": "2"}
+               "FILL_TILE_BYTES": 100, "threads": "2"}
 
 
 @settings(max_examples=50, deadline=10_000)
@@ -284,7 +283,7 @@ def _bankrupting_markov_panel():
 def test_no_size_constant_changes_a_report_bit(case):
     """The report CSV, the JSON rows and the bundle hashes of a run are
     those of the same run at the default sizes, whatever the chunk, fill
-    block, ledger block, tile and lookup sizes and the thread count."""
+    block, ledger block and tile sizes and the thread count."""
     d, sizes = case
     cfg = ExperimentConfig.from_dict(d)
     with pytest.MonkeyPatch.context() as mp:
@@ -295,7 +294,6 @@ def test_no_size_constant_changes_a_report_bit(case):
         mp.setattr(xl.simulate, "MIN_BLOCK_PATHS", sizes["MIN_BLOCK_PATHS"])
         mp.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", sizes["block_paths"] * row_bytes)
         mp.setattr(xl.simulate, "FILL_TILE_BYTES", sizes["FILL_TILE_BYTES"])
-        mp.setattr(xl.regime_filter, "LOOKUP_BLOCK", sizes["LOOKUP_BLOCK"])
         mp.setenv("EXPMA_THREADS", sizes["threads"])
         sized = run_experiment(cfg)
     assert sized.to_csv() == whole.to_csv()
@@ -535,12 +533,45 @@ def _ctmc_pde_config(**pde):
     ("pde", _ctmc_pde_config(nx=16)),
     ("pde", _ctmc_pde_config(snapshot_times=[99.0])),
     ("pde", _ctmc_pde_config(t_max=math.inf, snapshot_times=None)),
+    ("sweep", config_dict(experiment="lambda_sweep", sweep_values="123")),
+    ("sweep", config_dict(experiment="lambda_sweep", sweep_values={"2": 1, "3": 1})),
+    ("sweep", config_dict(experiment="lambda_sweep", sweep_values=[True, 2.0])),
+    ("pde", _ctmc_pde_config(t_max=2.0, snapshot_times="12")),
+    ("pde", _ctmc_pde_config(t_max=2.0, snapshot_times=[True, 2.0])),
+    ("pde", _ctmc_pde_config(nx=300.7)),
+    ("pde", _ctmc_pde_config(nx="300")),
+    ("pde", _ctmc_pde_config(nx=True)),
 ], ids=["sweep_value_text", "sweep_values_scalar", "pde_nx_text", "pde_t_max_text",
-        "pde_nx_small", "pde_snapshot_beyond_t_max", "pde_t_max_infinite"])
+        "pde_nx_small", "pde_snapshot_beyond_t_max", "pde_t_max_infinite",
+        "sweep_values_string", "sweep_values_object", "sweep_values_boolean",
+        "pde_snapshots_string", "pde_snapshots_boolean", "pde_nx_fraction",
+        "pde_nx_numeric_text", "pde_nx_boolean"])
 def test_cli_malformed_config_fields_exit_2(tmp_path, capsys, command, d):
+    """A config field of the wrong type exits 2; no string, object or
+    boolean is read as a list of numbers, and no fraction, text or
+    boolean as a grid size."""
     cfg = write_config(tmp_path, d)
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nx", [300.7, "300", True])
+def test_cli_pde_nx_not_integer_exits_2_unmarched(tmp_path, capsys, monkeypatch, nx):
+    """A grid size that is not an integer exits 2 by its code before the
+    march is reached; an integral float such as 128.0 is the integer."""
+    marched = []
+    solve = xl.experiments.regime_filter.solve_uv_pde
+    monkeypatch.setattr(xl.experiments.regime_filter, "solve_uv_pde",
+                        lambda *a, **kw: marched.append(kw["nx"]) or solve(*a, **kw))
+
+    def run(value):
+        cfg = write_config(tmp_path, _ctmc_pde_config(nx=value))
+        return cli_main(["pde", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    assert run(nx) == 2
+    assert "[nx_not_integer]" in capsys.readouterr().err
+    assert run(128.0) == 0
+    assert marched == [128] and type(marched[0]) is int
 
 
 @pytest.mark.parametrize("section, field, value, code", [

@@ -347,13 +347,12 @@ def test_filter_lookup_is_np_interp(ctmc_gentle_params):
     assert np.isnan(look(np.array([np.nan, -np.nan]))).all()
 
 
-@pytest.mark.parametrize("block, shapes", [(7, ((20, 53), (41, 4))),
-                                           (32 * 1024, ((300, 506), (3, 70_001)))])
-def test_filter_lookup_on_strided_views(ctmc_gentle_params, monkeypatch, block, shapes):
-    """Row blocks of a 2-D strided view, as `run_strategy` passes Z, and
-    column blocks of rows longer than a block, give np.interp's bits, the
-    last block of each partial."""
-    monkeypatch.setattr(xl.regime_filter, "LOOKUP_BLOCK", block)
+@pytest.mark.parametrize("rows, shapes", [(7, ((20, 53), (41, 4))),
+                                          (32 * 1024, ((300, 506), (3, 70_001)))])
+def test_filter_lookup_on_strided_views(ctmc_gentle_params, rows, shapes):
+    """Strided row blocks of `rows` rows of a 2-D view, as `run_strategy`
+    passes Z (the last block partial, or one block of the whole view), and a
+    transposed grid give np.interp's bits."""
     look = filter_strategy(ctmc_gentle_params).g
     oracle = _interp_oracle(look)
     rng = np.random.default_rng(12)
@@ -362,9 +361,10 @@ def test_filter_lookup_on_strided_views(ctmc_gentle_params, monkeypatch, block, 
         grid = look.zs[0] + span * rng.uniform(-0.05, 1.05, shape)
         on_knots = rng.choice(grid.size, grid.size // 8, replace=False)
         grid.flat[on_knots] = rng.choice(look.zs, on_knots.size)
-        view = grid[:, 1:-1]
-        assert not view.flags.c_contiguous
-        assert _same_bits(look(view), oracle(view))
+        for lo in range(0, shape[0], rows):
+            view = grid[lo:lo + rows, 1:-1]
+            assert not view.flags.c_contiguous
+            assert _same_bits(look(view), oracle(view))
         assert _same_bits(look(grid.T), oracle(grid.T))
 
 

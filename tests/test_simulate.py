@@ -9,11 +9,12 @@ from scipy.optimize import brentq
 
 import expma_lab as xl
 from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
-                       ModelParams, OUDrift, ResourceLimitError, SimConfig,
-                       growth_limit_affine, ou_moments, rebalance_delta,
-                       run_strategy, self_financing_residuals, simulate_paths)
+                       ModelParams, NonlinearFilter, OUDrift, ResourceLimitError,
+                       SimConfig, ValidationError, growth_limit_affine, ou_moments,
+                       rebalance_delta, run_strategy, self_financing_residuals,
+                       simulate_paths)
 from expma_lab.simulate import (_block_scratch, _ctmc_drift, _ctmc_jump_times, _path_rngs,
-                                _unit_share_change)
+                                _unit_share_change, block_rows)
 from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, expma_strided,
                      frictionless_wealth, ledger_fresh_blocks, ou_paths_per_path_rng,
                      reference_ledger)
@@ -531,3 +532,38 @@ def test_ledger_block_size_invariant(monkeypatch, omega):
         for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
             assert np.array_equal(getattr(led, field), getattr(ledgers[-1], field)), field
         assert repr(m) == repr(metrics[-1])
+
+
+def test_ledger_evaluates_weights_one_row_block_at_a_time(benchmark_params):
+    """`strategy.weights` sees one ledger row block per call, never the
+    whole bundle: every call has at most `block_rows(S)` rows, and the
+    calls cover every path once."""
+    b = simulate_paths(benchmark_params, small_config(n_paths=600))
+    shapes = []
+
+    def g(z):
+        shapes.append(z.shape)
+        return np.full(z.shape, 0.5)
+
+    run_strategy(b, NonlinearFilter(g=g), 0.001)
+    rows = block_rows(b.n_steps)
+    assert rows < b.n_paths
+    assert len(shapes) > 1
+    assert all(r <= rows and days == b.n_steps - 1 for r, days in shapes)
+    assert sum(r for r, _ in shapes) == b.n_paths
+
+
+def test_nonfinite_weight_names_a_simulated_day(benchmark_params):
+    """A strategy that returns NaN for large signals is refused with
+    `nonfinite_weight`, naming a rebalancing day on which some path's
+    signal is past the threshold."""
+    b = simulate_paths(benchmark_params, small_config(n_paths=300))
+    days = np.arange(1, b.n_steps) * b.sim.dt
+    z = b.z[:, 1:b.n_steps]
+    c = np.quantile(z, 0.999)
+    with pytest.raises(ValidationError) as exc:
+        run_strategy(b, NonlinearFilter(g=lambda z: np.where(z > c, np.nan, 0.5)), 0.0)
+    assert exc.value.codes == ["nonfinite_weight"]
+    t_bad = float(str(exc.value).split("t=")[1].split(" ")[0])
+    assert t_bad in days
+    assert (z[:, days == t_bad] > c).any()
