@@ -161,7 +161,7 @@ def _cmd_growth(args) -> int:
 def _cmd_signal(args) -> int:
     cfg = replace(_load_config(args), experiment="signal")
     if args.input is not None:
-        cfg = replace(cfg, signal_input=args.input)
+        cfg = replace(cfg, signal_input=args.input, input_dir="")  # read from the working directory
     reports = run_experiment(cfg)
     print(f"wrote {reports.extras['signal_csv']}")
     _emit_reports(reports, cfg, args, "signal_report")

@@ -3,8 +3,10 @@ tables, transport-grid exports, and the price-file signal pipeline.
 
 Every simulation experiment runs all of its strategies on the same paths
 (common random numbers), streamed over path chunks of about CHUNK_BYTES per
-grid: each chunk is drawn once, every strategy's ledger on it is reduced to
-per-path statistics, and it is dropped, so a run's memory is bounded by one
+grid: each chunk is drawn once and every strategy's ledger on it is reduced
+to per-path statistics. A run allocates its chunk buffers once, one bundle
+and one ledger sized for its largest chunk, and every chunk and ledger is
+written into their leading rows, so a run's memory is bounded by one
 chunk, not by `n_paths`. The chunking changes no bit of any report value.
 The report metadata records each run's bundle identity hash and path
 chunks, and every run is byte-reproducible from (config, seed): the CSV
@@ -30,8 +32,8 @@ from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, PathStats, compute_metrics, path_stats
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine, _whole)
-from .simulate import (BundleHash, check_limits, expma, path_slices, run_strategy,
-                       simulate_paths)
+from .simulate import (BundleHash, check_limits, chunk_buffers, expma, path_slices,
+                       run_strategy, simulate_paths)
 
 # sweep experiment -> (swept parameter, the (params, sim) run at sweep value v)
 SWEEPS = {
@@ -42,9 +44,14 @@ SWEEPS = {
     "cost_sweep": ("omega", lambda c, v: (c.params, replace(c.sim, omega=v))),
 }
 
-# Target bytes per path grid of one chunk of a streamed Monte Carlo run; a
-# chunk holds about seven such grids at once (bundle three, ledger four).
-CHUNK_BYTES = 16 * 1024 * 1024
+# Target bytes per path grid of one chunk of a streamed Monte Carlo run. A
+# run holds about nine such grids at its peak: its buffers for the bundle
+# (x, y, mu) and for one ledger (wealth, pre_wealth, weights, delta),
+# allocated once, and the OU fill's draws (two grids: z and zbar for each
+# step), allocated per chunk, besides the fill's tiles (FILL_TILE_BYTES).
+# Smaller chunks hold less but fill narrower blocks, whose time loops pay
+# numpy's per-call overhead at every step.
+CHUNK_BYTES = 4 * 1024 * 1024
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",
                "total_return", "avg_daily_return", "sharpe", "log_growth",
@@ -62,9 +69,13 @@ class ExperimentConfig:
     pde_nx: int = 512
     pde_snapshots: tuple[float, ...] | None = None
     out_dir: str = "."
+    # the directory a relative `signal_input` is read from: the config
+    # file's, or "" for the working directory
+    input_dir: str = ""
 
     def to_dict(self) -> dict:
-        """The settings `config_hash` covers; where the run writes is not one."""
+        """The settings `config_hash` covers; where the run reads and writes
+        its files is not one."""
         d = {
             "experiment": self.experiment,
             "params": self.params.to_dict(),
@@ -116,7 +127,7 @@ class ExperimentConfig:
                 d = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        return cls.from_dict(d)
+        return replace(cls.from_dict(d), input_dir=os.path.dirname(path))
 
     def validated(self) -> "ExperimentConfig":
         if self.experiment not in RUNNERS:
@@ -294,10 +305,11 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     """The report rows of `group`, runs that share the draw of its first.
 
     Every run's rows are built first, so a failing strategy ends the run
-    before it draws. Each path chunk is drawn once (a later run of the group
-    forms its Y from the chunk's X in the chunk's Y buffer), every row of
-    every run reduces it to per-path statistics, and then it is dropped:
-    common random numbers hold, and memory is bounded by one chunk. Per-path
+    before it draws. Each path chunk is drawn once into the group's bundle
+    buffers (a later run of the group forms its Y from the chunk's X in the
+    chunk's Y buffer), and every row of every run writes its ledger into the
+    group's ledger buffers and reduces it to per-path statistics: common
+    random numbers hold, and memory is bounded by one chunk. Per-path
     substreams, row-local statistics and one hash fed the chunks in order
     give every report value and bundle hash the bits of one unchunked run.
     """
@@ -308,18 +320,20 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     bundle_hash = BundleHash(p0, s0)
     # each run's rows, each with the per-path statistics of every chunk
     cells = [[(*row, []) for row in _run_rows(config, p, s, v)] for v, p, s in group]
+    # every chunk's bundle, and every ledger on it, is written into the leading
+    # rows of one set of buffers sized for the largest chunk
+    sizes = [sl.stop - sl.start for sl in chunks]
+    paths_out, ledger_out = chunk_buffers(max(sizes), s0.n_steps)
     for sl in chunks:
         chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
-                               path_offset=sl.start)
+                               path_offset=sl.start, out=paths_out)
         bundle_hash.update(chunk.x)
         for i, ((_, p, s), cell) in enumerate(zip(group, cells)):
             if i:
                 chunk = replace(chunk, params=p, y=expma(chunk.x, p.lam, s.dt, out=chunk.y))
-            # each ledger goes straight into its statistics, so no two are alive at once
+            # each ledger goes into its statistics before the next overwrites it
             for _, strat, omega, _, parts in cell:
-                parts.append(path_stats(run_strategy(chunk, strat, omega)))
-        del chunk
-    sizes = [sl.stop - sl.start for sl in chunks]
+                parts.append(path_stats(run_strategy(chunk, strat, omega, out=ledger_out)))
     rows = []
     for cell in cells:
         md["bundle_hashes"].append(bundle_hash.hexdigest())
@@ -387,7 +401,7 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
 def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:
     import numpy as np
 
-    path = config.signal_input
+    path = os.path.join(config.input_dir, config.signal_input)
     if not os.path.exists(path):
         raise ConfigError(f"signal input file not found: {path}")
     dates, closes = [], []

@@ -14,7 +14,11 @@ worker count. The OU and ExpMA recursions run on time-major tiles and the
 wealth ledger on blocks of paths, each sized to stay in cache; every
 operation is elementwise or along one path, so neither size changes a bit
 of the result. The ledger's blocks write into one set of temporaries
-allocated once per ledger, so no block allocates its own.
+allocated once per ledger, so no block allocates its own. `simulate_paths`
+and `run_strategy` allocate their grids, or write into the leading rows of
+caller-owned buffers (`out`, see `chunk_buffers`), so a streamed run
+allocates its grids once for all its chunks; every element is written
+either way, and nothing a buffer held before reaches a result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -52,7 +56,9 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 # Bound on a run's path grid, n_paths * (n_steps + 1), checked (`check_limits`)
 # before its first path chunk is drawn. A streamed run holds one chunk at a
 # time, so this bounds the work of a run, not the memory it holds; a single
-# `simulate_paths` call holds three grids of this size (~1 GB at the bound).
+# `simulate_paths` call without `out` allocates three grids of this size
+# (~1 GB at the bound), and the OU fill's draws two more, split across the
+# worker threads' blocks, while it runs.
 MAX_ELEMENTS = 40_000_000
 # Bound per Markov-drift run on (alpha + beta) * n_steps * dt * n_paths, at
 # least twice the expected jump count. The jump draw takes about 0.2 us per
@@ -181,21 +187,39 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
 
     dt, sig = config.dt, params.sigma
     sq = math.sqrt(dt)
+    half_var = 0.5 * sig**2
     # the recursion runs on time-major tiles of the block, so every step reads
     # and writes contiguous rows; row 0 of a tile carries the previous step
     tile = min(n_steps, max(1, FILL_TILE_BYTES // (8 * m)))
     x_t = np.empty((tile + 1, m))
     mu_t = np.empty_like(x_t)
+    noise = np.empty((2 * tile, m))
+    xs, mus, zs = list(x_t), list(mu_t), list(noise)  # the row views, formed once
     x_t[0] = config.x0
     mu_t[0] = d.m1_0 + math.sqrt(d.v1_0) * draws[:, 0]
     x[sl, 0], mu[sl, 0] = x_t[0], mu_t[0]
     for lo in range(0, n_steps, tile):
         k = min(tile, n_steps - lo)
-        noise = draws[:, 1 + 2 * lo:1 + 2 * (lo + k)].T.copy()
-        zs, zbars = noise[0::2], noise[1::2]
+        # each noise tile is scaled once: rows 2i and 2i+1 hold step i's
+        # sig sqrt(dt) z and delta sqrt(dt) zbar
+        noise[:2 * k] = draws[:, 1 + 2 * lo:1 + 2 * (lo + k)].T
+        noise[0:2 * k:2] *= sig * sq
+        noise[1:2 * k:2] *= d.delta * sq
+        # x' = x + (mu - sig^2/2) dt + sig sqrt(dt) z and
+        # mu' = mu + kappa (mu_bar - mu) dt + delta sqrt(dt) zbar, each formed
+        # in its new row with the same operations in the same order (+ and *
+        # commute to the bit)
         for i in range(k):
-            x_t[i + 1] = x_t[i] + (mu_t[i] - 0.5 * sig**2) * dt + sig * sq * zs[i]
-            mu_t[i + 1] = mu_t[i] + d.kappa * (d.mu_bar - mu_t[i]) * dt + d.delta * sq * zbars[i]
+            xn, mn = xs[i + 1], mus[i + 1]
+            np.subtract(mus[i], half_var, out=xn)
+            np.multiply(xn, dt, out=xn)
+            np.add(xs[i], xn, out=xn)
+            np.add(xn, zs[2 * i], out=xn)
+            np.subtract(d.mu_bar, mus[i], out=mn)
+            np.multiply(mn, d.kappa, out=mn)
+            np.multiply(mn, dt, out=mn)
+            np.add(mus[i], mn, out=mn)
+            np.add(mn, zs[2 * i + 1], out=mn)
         x[sl, lo + 1:lo + k + 1] = x_t[1:k + 1].T
         mu[sl, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
@@ -308,14 +332,37 @@ def path_slices(n: int, parts: int) -> list[slice]:
     return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
+def _grids(out, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Float grids of `rows` rows and the given widths: new ones, or the
+    leading rows of the `out` buffers, which may hold more rows."""
+    if out is None:
+        return [np.empty((rows, w)) for w in widths]
+    if len(out) != len(widths) or any(
+            b.dtype != np.float64 or b.ndim != 2 or b.shape[1] != w or b.shape[0] < rows
+            for b, w in zip(out, widths)):
+        raise ValueError(f"out must be {len(widths)} float64 grids of at least "
+                         f"{rows} rows and widths {widths}")
+    return [b[:rows] for b in out]
+
+
+def chunk_buffers(rows: int, n_steps: int) -> tuple[list, list]:
+    """The `out` buffers of `simulate_paths` and of `run_strategy` for
+    bundles of up to `rows` paths and `n_steps` steps: (x, y, mu) and
+    (wealth, pre_wealth, weights, delta)."""
+    S = n_steps
+    return _grids(None, rows, (S + 1,) * 3), _grids(None, rows, (S + 1, S, S, S + 1))
+
+
 def simulate_paths(params: ModelParams, config: SimConfig,
-                   path_offset: int = 0) -> PathBundle:
+                   path_offset: int = 0, *, out=None) -> PathBundle:
     """Generate a seeded ensemble; deterministic for fixed (seed, offsets).
 
     `path_offset` shifts the substream indices so large runs can be built
-    in chunks that agree bitwise with a single monolithic call. EXPMA_THREADS
-    (default 1) sets the threads; the fill of each of four balanced path blocks
-    per thread draws X and mu, then one ExpMA pass per block forms its Y.
+    in chunks that agree bitwise with a single monolithic call. With `out`,
+    an (x, y, mu) set of buffers (`chunk_buffers`), the bundle's grids are
+    their leading rows; every element of them is written. EXPMA_THREADS
+    (default 1) sets the threads; the fill of one balanced path block per
+    thread draws X and mu, then one ExpMA pass per block forms its Y.
     """
     check_limits(params, config)
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
@@ -324,12 +371,10 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     except ValueError as exc:
         raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
-    x = np.empty((config.n_paths, config.n_steps + 1), dtype=float)
-    y = np.empty_like(x)
-    mu = np.empty_like(x)
+    x, y, mu = _grids(out, config.n_paths, (config.n_steps + 1,) * 3)
     fill = _fill_ou if params.is_ou else _fill_ctmc
 
-    blocks = path_slices(config.n_paths, 4 * workers)
+    blocks = path_slices(config.n_paths, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, mu), blocks))
         list(pool.map(lambda sl: expma(x[sl], params.lam, config.dt, out=y[sl]), blocks))
@@ -398,12 +443,16 @@ def block_rows(n_steps: int) -> int:
     return max(1, LEDGER_BLOCK_BYTES // (8 * (n_steps + 1)))
 
 
-def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float) -> WealthLedger:
+def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float, *,
+                 out=None) -> WealthLedger:
     """Evaluate one strategy on a shared path bundle.
 
     Strategies receive paths, never generate them, so every strategy in an
     experiment consumes identical randomness. Every omega takes the same
-    arithmetic; at omega = 0 the cost term is exactly 0.
+    arithmetic; at omega = 0 the cost term is exactly 0. With `out`, a
+    (wealth, pre_wealth, weights, delta) set of buffers (`chunk_buffers`),
+    the ledger's grids are their leading rows; every element of them is
+    written.
     """
     if not (0.0 <= omega < 1.0):
         raise ValidationError([("omega", "omega_out_of_range",
@@ -411,27 +460,29 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float) -> Wealth
     n, S = bundle.n_paths, bundle.n_steps
     x = bundle.x
     dt, pi0 = bundle.sim.dt, bundle.sim.pi0
+    wealth, pre_wealth, weights, delta = _grids(out, n, (S + 1, S, S, S + 1))
+    cost = np.empty(n)
+    bankrupt = np.empty(n, dtype=bool)
+    ledger = WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
+                          delta=delta, cost=cost, bankrupt=bankrupt, dt=dt,
+                          omega=omega, pi0=pi0)
 
     if isinstance(strategy, BuyAndHold):
-        wealth = np.subtract(x, bundle.sim.x0)
+        np.subtract(x, bundle.sim.x0, out=wealth)
         np.exp(wealth, out=wealth)
         wealth *= pi0
-        return WealthLedger(
-            wealth=wealth, pre_wealth=wealth[:, 1:].copy(),
-            weights=np.ones((n, S)), delta=np.zeros((n, S + 1)),
-            cost=np.zeros(n), bankrupt=np.zeros(n, dtype=bool),
-            dt=dt, omega=omega, pi0=pi0)
+        np.copyto(pre_wealth, wealth[:, 1:])
+        weights.fill(1.0)
+        delta.fill(0.0)
+        cost.fill(0.0)
+        bankrupt.fill(False)
+        return ledger
 
     # weights[:, i] is held over [i, i+1): one share (f = 1) on day 0, then
     # the target weight at (t_i, Z_i) for every rebalancing day i = 1..S-1
-    weights = np.empty((n, S))
     weights[:, 0] = 1.0
     t = np.arange(1, S) * dt
-    wealth = np.empty((n, S + 1))
-    pre_wealth = np.empty((n, S))
-    delta = np.zeros((n, S + 1))
-    cost = np.empty(n)
-    bankrupt = np.empty(n, dtype=bool)
+    delta[:, 0] = delta[:, S] = 0.0  # no trade on day 0 or the final day
     # every step below is elementwise or along one path, and every weight rule
     # is pointwise per path for a given t, so any row blocking gives the same
     # bits; a block small enough to stay in cache avoids streaming a dozen
@@ -450,10 +501,7 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float) -> Wealth
                                     f"strategy produced non-finite weights at t={t_bad}")])
         _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
                       delta[b], cost[b], bankrupt[b], scratch)
-
-    return WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
-                        delta=delta, cost=cost, bankrupt=bankrupt, dt=dt,
-                        omega=omega, pi0=pi0)
+    return ledger
 
 
 def _block_scratch(rows: int, S: int) -> dict:

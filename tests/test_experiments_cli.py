@@ -325,6 +325,56 @@ def test_streamed_run_peak_memory_does_not_grow_with_paths(monkeypatch):
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 
+def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
+    """A cost sweep of 770 x 504 in three chunks whose first is the smaller
+    (256, 257, 257 paths) reports the rows, CSV and bundle hashes of its
+    one-chunk run. Every `simulate_paths` and `run_strategy` call returns
+    grids in the memory of the run's first call, so the buffers are sized
+    for the largest chunk, not the first. With 16-step fill tiles, the
+    traced peak is about nine chunk grids: the bundle's three, one
+    ledger's four and the fill's draws, two, which the ledger buffers
+    outlive. (The fill tiles are bounded by FILL_TILE_BYTES, not by the
+    chunk: at the default they hold the whole 504-day horizon here.)"""
+    monkeypatch.setenv("EXPMA_THREADS", "1")
+    cfg = ExperimentConfig.from_dict(config_dict(
+        experiment="cost_sweep", n_paths=770, horizon=24.0, sweep_values=[0.0, 0.001]))
+    whole = run_experiment(cfg)
+    S = cfg.sim.n_steps
+    monkeypatch.setattr(xl.experiments, "CHUNK_BYTES", 257 * 8 * (S + 1))
+    monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES", 16 * 8 * 257)
+    bundles, ledgers = [], []
+
+    def recorded(fn, calls):
+        def call(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
+        return call
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths",
+                        recorded(xl.experiments.simulate_paths, bundles))
+    monkeypatch.setattr(xl.experiments, "run_strategy",
+                        recorded(xl.experiments.run_strategy, ledgers))
+    tracemalloc.start()
+    try:
+        streamed = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed.metadata["path_chunks"] == [{"chunks": 3,
+                                                 "paths_per_chunk": [256, 257, 257]}]
+    assert streamed.to_csv() == whole.to_csv()
+    assert [r.to_dict() for r in streamed.rows] == [r.to_dict() for r in whole.rows]
+    assert streamed.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
+    assert (len(bundles), len(ledgers)) == (3, 9)
+    for calls, names in ((bundles, ("x", "y", "mu")),
+                         (ledgers, ("wealth", "pre_wealth", "weights", "delta"))):
+        for call in calls:
+            for name in names:
+                assert np.shares_memory(getattr(call, name), getattr(calls[0], name)), name
+    grid = 8 * 257 * (S + 1)
+    assert peak < 9.5 * grid, peak / grid
+
+
 def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, config_dict(experiment="vol_sweep", n_paths=300,
                                              sweep_values=[0.0349, 0.0436]))
@@ -464,6 +514,28 @@ def test_cli_signal(tmp_path, capsys):
     assert len(lines) == 61
     first = lines[1].split(",")
     assert float(first[2]) == 0.0 and float(first[3]) == 0.0  # x0 = y0 = 0
+
+
+def test_cli_signal_input_is_read_from_the_config_files_directory(tmp_path, monkeypatch):
+    """A relative `signal_input` in a config file is read from the file's
+    directory, so the committed signal config runs from any working
+    directory; a relative `--input` is read from the working directory.
+    The config hash does not depend on where the config file lives."""
+    monkeypatch.chdir(tmp_path)
+    config = CONFIGS / "signal.json"
+    assert json.loads(config.read_text())["signal_input"] == "sample_prices.csv"
+    assert cli_main(["signal", "--config", str(config), "--out", "a"]) == 0
+    (tmp_path / "p.csv").write_bytes((CONFIGS / "sample_prices.csv").read_bytes())
+    assert cli_main(["signal", "--config", str(config), "--input", "p.csv", "--out", "b"]) == 0
+    a, b = ((tmp_path / d / "signal.csv").read_bytes() for d in "ab")
+    assert a == b
+    assert cli_main(["signal", "--config", str(config), "--input", "sample_prices.csv"]) == 2
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "signal.json").write_bytes(config.read_bytes())
+    hashes = {ExperimentConfig.from_json_file(str(path)).config_hash()
+              for path in (config, elsewhere / "signal.json", Path("elsewhere/signal.json"))}
+    assert len(hashes) == 1
 
 
 def test_cli_exit_codes(tmp_path):

@@ -567,3 +567,43 @@ def test_nonfinite_weight_names_a_simulated_day(benchmark_params):
     t_bad = float(str(exc.value).split("t=")[1].split(" ")[0])
     assert t_bad in days
     assert (z[:, days == t_bad] > c).any()
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.001])
+def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentle_params,
+                                                     omega):
+    """`simulate_paths` and `run_strategy` write into the leading rows of
+    `out` buffers taller than the run and filled with NaN: every grid they
+    return is a view of its buffer with the bits of the allocating call,
+    and the rows past the run are left alone. The levered affine rule
+    bankrupts paths, so its freeze passes run."""
+    cfg = small_config(n_paths=70, horizon_months=12.0)
+    S, spare = cfg.n_steps, 5
+    lev = ModelParams(drift=OUDrift(kappa=0.5, mu_bar=0.05, delta=0.01), sigma=0.3, lam=2.0)
+    panel = dict(xl.build_strategies(benchmark_params, 12.0))
+    cases = [(benchmark_params, panel["growth"]), (benchmark_params, panel["utility_c2"]),
+             (ctmc_gentle_params, xl.filter_strategy(ctmc_gentle_params)),
+             (benchmark_params, BuyAndHold()), (lev, ConstantAffine(0.0, 40.0))]
+    assert [type(s) for _, s in cases] == [ConstantAffine, xl.TimeVaryingAffine,
+                                           NonlinearFilter, BuyAndHold, ConstantAffine]
+    for params, strat in cases:
+        paths_out = [np.full((cfg.n_paths + spare, S + 1), np.nan) for _ in range(3)]
+        ledger_out = [np.full((cfg.n_paths + spare, w), np.nan) for w in (S + 1, S, S, S + 1)]
+        fresh = simulate_paths(params, cfg)
+        bundle = simulate_paths(params, cfg, out=paths_out)
+        for name, buf in zip(("x", "y", "mu"), paths_out):
+            got = getattr(bundle, name)
+            assert got.tobytes() == getattr(fresh, name).tobytes(), name
+            assert np.shares_memory(got, buf) and np.isnan(buf[cfg.n_paths:]).all(), name
+        ref = run_strategy(fresh, strat, omega)
+        led = run_strategy(bundle, strat, omega, out=ledger_out)
+        for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
+            assert getattr(led, field).tobytes() == getattr(ref, field).tobytes(), field
+        for name, buf in zip(("wealth", "pre_wealth", "weights", "delta"), ledger_out):
+            got = getattr(led, name)
+            assert np.shares_memory(got, buf) and np.isnan(buf[cfg.n_paths:]).all(), name
+    assert led.bankrupt.any()
+    with pytest.raises(ValueError):
+        run_strategy(bundle, strat, omega, out=[b[:cfg.n_paths - 1] for b in ledger_out])
+    with pytest.raises(ValueError):
+        simulate_paths(params, cfg, out=paths_out[:2])
