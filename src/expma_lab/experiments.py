@@ -31,7 +31,7 @@ from . import regime_filter
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, PathStats, compute_metrics, path_stats
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
-                     Strategy, TimeVaryingAffine, _whole)
+                     Strategy, TimeVaryingAffine, _number, _whole)
 from .simulate import (BundleHash, check_limits, chunk_buffers, expma, path_slices,
                        run_strategy, simulate_paths)
 
@@ -48,9 +48,10 @@ SWEEPS = {
 # run holds about nine such grids at its peak: its buffers for the bundle
 # (x, y, mu) and for one ledger (wealth, pre_wealth, weights, delta),
 # allocated once, and the OU fill's draws (two grids: z and zbar for each
-# step), allocated per chunk, besides the fill's tiles (FILL_TILE_BYTES).
-# Smaller chunks hold less but fill narrower blocks, whose time loops pay
-# numpy's per-call overhead at every step.
+# step), allocated per chunk; the fill's tiles and the ledger's row blocks
+# add a few `simulate.BLOCK_BYTES` more. Smaller chunks hold less but fill
+# narrower blocks, whose time loops pay numpy's per-call overhead at every
+# step.
 CHUNK_BYTES = 4 * 1024 * 1024
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",
@@ -102,16 +103,17 @@ class ExperimentConfig:
                                         f"nx must be an integer, got {nx!r}")])
             snapshots = pde.get("snapshot_times")
             return cls(
-                experiment=d["experiment"],
+                experiment=_string("experiment", d["experiment"]),
                 params=ModelParams.from_dict(d["params"]),
                 sim=SimConfig.from_dict(d["sim"]),
                 sweep_values=None if sweep is None else _numbers("sweep_values", sweep),
-                signal_input=d.get("signal_input"),
-                pde_t_max=None if t_max is None else float(t_max),
+                signal_input=(None if d.get("signal_input") is None
+                              else _string("signal_input", d["signal_input"])),
+                pde_t_max=None if t_max is None else _number("pde.t_max", t_max),
                 pde_nx=nx,
                 pde_snapshots=(None if snapshots is None
                                else _numbers("snapshot_times", snapshots) or None),
-                out_dir=d.get("out_dir", "."),
+                out_dir=_string("out_dir", d.get("out_dir", ".")),
             )
         except (ConfigError, ValidationError):  # ValueErrors too; keep their messages
             raise
@@ -155,10 +157,16 @@ class ExperimentConfig:
 def _numbers(name: str, values) -> tuple[float, ...]:
     """A JSON array of numbers as floats; any other value, a boolean
     element included, is a ConfigError."""
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, list):
         raise ConfigError(f"{name} must be an array of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(_number(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
+def _string(name: str, value) -> str:
+    """A JSON string as given; any other value is a ConfigError."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 TRADING_DAYS_PER_MONTH = 21
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_MONTH
@@ -133,25 +133,20 @@ class ModelParams:
         try:
             dd = dict(d["drift"])
             kind = dd.pop("type")
-            sigma = float(d["sigma"])
-            lam = float(d["lambda"])
+            sigma = _number("params.sigma", d["sigma"])
+            lam = _number("params.lambda", d["lambda"])
         except (KeyError, TypeError) as exc:
             raise ValidationError([("params", "schema", f"missing/invalid field: {exc}")]) from exc
+
+        def num(key):  # a null or absent m1_0 or v1_0 takes the stationary default
+            if key in ("m1_0", "v1_0") and dd.get(key) is None:
+                return None
+            return _number(f"params.drift.{key}", dd[key])
+
         if kind == "ou":
-            drift = OUDrift(
-                kappa=float(dd["kappa"]),
-                mu_bar=float(dd["mu_bar"]),
-                delta=float(dd["delta"]),
-                m1_0=None if dd.get("m1_0") is None else float(dd["m1_0"]),
-                v1_0=None if dd.get("v1_0") is None else float(dd["v1_0"]),
-            )
+            drift = OUDrift(**{k: num(k) for k in ("kappa", "mu_bar", "delta", "m1_0", "v1_0")})
         elif kind == "ctmc2":
-            drift = CTMC2Drift(
-                rho1=float(dd["rho1"]),
-                rho2=float(dd["rho2"]),
-                alpha=float(dd["alpha"]),
-                beta=float(dd["beta"]),
-            )
+            drift = CTMC2Drift(**{k: num(k) for k in ("rho1", "rho2", "alpha", "beta")})
         else:
             raise ValidationError([("drift.type", "schema", f"unknown drift type {kind!r}")])
         return cls(drift=drift, sigma=sigma, lam=lam)
@@ -192,17 +187,25 @@ class SimConfig:
     def from_dict(cls, d: dict) -> "SimConfig":
         try:
             fields = dict(
-                horizon_months=float(d["horizon_months"]),
+                horizon_months=_number("sim.horizon_months", d["horizon_months"]),
                 n_paths=_whole(d["n_paths"]),
                 seed=_whole(d["seed"]),
-                dt=float(d.get("dt", DEFAULT_DT)),
-                omega=float(d.get("omega", 0.0)),
-                x0=float(d.get("x0", 0.0)),
-                pi0=float(d.get("pi0", 1.0)),
+                dt=_number("sim.dt", d.get("dt", DEFAULT_DT)),
+                omega=_number("sim.omega", d.get("omega", 0.0)),
+                x0=_number("sim.x0", d.get("x0", 0.0)),
+                pi0=_number("sim.pi0", d.get("pi0", 1.0)),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValidationError([("sim", "schema", f"missing/invalid field: {exc}")]) from exc
         return cls(**fields)
+
+
+def _number(name: str, value) -> float:
+    """A JSON number, not a boolean, as a float; any other value is a
+    ConfigError naming the field `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _whole(value):

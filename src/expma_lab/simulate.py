@@ -11,10 +11,11 @@ X increment integrating the piecewise-constant drift exactly across jumps
 inside a step. Every path draws from its own counter-based substream keyed
 (seed, path index), so ensembles are bit-identical for any chunking or
 worker count. The OU and ExpMA recursions run on time-major tiles and the
-wealth ledger on blocks of paths, each sized to stay in cache; every
-operation is elementwise or along one path, so neither size changes a bit
-of the result. The ledger's blocks write into one set of temporaries
-allocated once per ledger, so no block allocates its own. `simulate_paths`
+wealth ledger on blocks of paths, each of their arrays about BLOCK_BYTES so
+that it stays in cache; every operation is elementwise or along one path,
+so the block size changes no bit of the result. The ledger's blocks write
+into one set of temporaries allocated once per ledger, so no block
+allocates its own. `simulate_paths`
 and `run_strategy` allocate their grids, or write into the leading rows of
 caller-owned buffers (`out`, see `chunk_buffers`), so a streamed run
 allocates its grids once for all its chunks; every element is written
@@ -65,16 +66,15 @@ MAX_ELEMENTS = 40_000_000
 # jump on a 2-core VM (0.3 us with the rest of the fill), so the bound is
 # about 2 s of drawing.
 MAX_JUMPS = 10_000_000
-# Target bytes per array in one row block of the wealth ledger, small enough
-# for the block's dozen temporaries to stay in cache; at least one path per block.
-LEDGER_BLOCK_BYTES = 256 * 1024
+# Target bytes per array of one cache block of the hot path: a ledger or
+# `metrics.path_stats` row block (`block_rows`) and an OU or ExpMA tile
+# (`_tile_steps`), small enough for a ledger block's dozen temporaries to
+# stay in cache.
+BLOCK_BYTES = 256 * 1024
 # Fewest paths in a fill block of `simulate_paths` or in a run's path chunk
 # (`path_slices`): the OU and ExpMA time loops pay numpy's per-call overhead
 # once per step per block, so narrower blocks cost time.
 MIN_BLOCK_PATHS = 256
-# Target bytes per time-major tile of the OU path recursion and of the ExpMA
-# recursion (`expma`).
-FILL_TILE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,17 @@ class BundleHash:
         return self._h.hexdigest()[:16]
 
 
+def block_rows(n_steps: int) -> int:
+    """Paths per row block of a wealth grid with `n_steps + 1` columns."""
+    return max(1, BLOCK_BYTES // (8 * (n_steps + 1)))
+
+
+def _tile_steps(m: int, n_steps: int) -> int:
+    """Steps per time-major tile of `m` paths over `n_steps` steps: one row
+    of `m` floats per step, in about BLOCK_BYTES per tile array."""
+    return max(1, min(n_steps, BLOCK_BYTES // (8 * m)))
+
+
 def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
     """Daily ExpMA of a 1-D or 2-D `x` along its last axis, written into
     `out`; starts at 0.
@@ -144,7 +155,7 @@ def expma(x: np.ndarray, lam: float, dt: float, out: np.ndarray) -> np.ndarray:
     x2, y2 = (x[None], out[None]) if x.ndim == 1 else (x, out)
     m, steps = x2.shape[0], x2.shape[1] - 1
     y2[:, 0] = 0.0
-    tile = max(1, min(steps, FILL_TILE_BYTES // (8 * m)))
+    tile = _tile_steps(m, steps)
     buf = np.zeros((tile + 1, m))
     rows = list(buf)  # the row views, formed once for every tile
     for lo in range(0, steps, tile):
@@ -190,7 +201,7 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
     half_var = 0.5 * sig**2
     # the recursion runs on time-major tiles of the block, so every step reads
     # and writes contiguous rows; row 0 of a tile carries the previous step
-    tile = min(n_steps, max(1, FILL_TILE_BYTES // (8 * m)))
+    tile = _tile_steps(m, n_steps)
     x_t = np.empty((tile + 1, m))
     mu_t = np.empty_like(x_t)
     noise = np.empty((2 * tile, m))
@@ -436,11 +447,6 @@ def rebalance_delta(f_next, f_cur, pi_cur, x_cur, x_next, omega: float):
         raise LeverageCostSingularityError(
             "1 +/- omega*f_next vanished; share-change equation singular")
     return numer / (den * e_next)
-
-
-def block_rows(n_steps: int) -> int:
-    """Paths per row block of a wealth grid with `n_steps + 1` columns."""
-    return max(1, LEDGER_BLOCK_BYTES // (8 * (n_steps + 1)))
 
 
 def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float, *,

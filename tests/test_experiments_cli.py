@@ -249,8 +249,8 @@ def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case, threads):
 @st.composite
 def sized_runs(draw):
     """A small OU or Markov panel, lambda sweep or cost sweep, and a value
-    for every size constant (the chunk and the ledger block in paths) and
-    for EXPMA_THREADS."""
+    for every size constant (the chunk in paths, the cache block in bytes)
+    and for EXPMA_THREADS."""
     experiment = draw(st.sampled_from(["performance", "lambda_sweep", "cost_sweep"]))
     make = markov_config if draw(st.booleans()) else config_dict
     kw = {"performance": {},
@@ -262,8 +262,9 @@ def sized_runs(draw):
     d["sim"]["seed"] = draw(st.integers(0, 2**64 - 1))
     sizes = {"chunk_paths": draw(st.integers(1, 200)),
              "MIN_BLOCK_PATHS": draw(st.integers(1, 64)),
-             "block_paths": draw(st.integers(1, 64)),
-             "FILL_TILE_BYTES": draw(st.integers(1, 4096)),
+             # log-uniform from one float (1-path ledger blocks, 1-step
+             # tiles) to 32 KB (ledger blocks of 95 or more paths)
+             "BLOCK_BYTES": int(2 ** draw(st.floats(3.0, 15.0))),
              "threads": draw(st.sampled_from(["1", "2"]))}
     return d, sizes
 
@@ -273,8 +274,8 @@ def _bankrupting_markov_panel():
     paths, cut into chunks of 7 paths and ledger blocks of 3."""
     d = markov_config(n_paths=60, horizon=2.0)
     d["params"]["sigma"] = 0.08
-    return d, {"chunk_paths": 7, "MIN_BLOCK_PATHS": 2, "block_paths": 3,
-               "FILL_TILE_BYTES": 100, "threads": "2"}
+    return d, {"chunk_paths": 7, "MIN_BLOCK_PATHS": 2,
+               "BLOCK_BYTES": 3 * 8 * (42 + 1), "threads": "2"}
 
 
 @settings(max_examples=50, deadline=10_000)
@@ -292,8 +293,7 @@ def test_no_size_constant_changes_a_report_bit(case):
         row_bytes = 8 * (cfg.sim.n_steps + 1)
         mp.setattr(xl.experiments, "CHUNK_BYTES", sizes["chunk_paths"] * row_bytes)
         mp.setattr(xl.simulate, "MIN_BLOCK_PATHS", sizes["MIN_BLOCK_PATHS"])
-        mp.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", sizes["block_paths"] * row_bytes)
-        mp.setattr(xl.simulate, "FILL_TILE_BYTES", sizes["FILL_TILE_BYTES"])
+        mp.setattr(xl.simulate, "BLOCK_BYTES", sizes["BLOCK_BYTES"])
         mp.setenv("EXPMA_THREADS", sizes["threads"])
         sized = run_experiment(cfg)
     assert sized.to_csv() == whole.to_csv()
@@ -333,15 +333,15 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     for the largest chunk, not the first. With 16-step fill tiles, the
     traced peak is about nine chunk grids: the bundle's three, one
     ledger's four and the fill's draws, two, which the ledger buffers
-    outlive. (The fill tiles are bounded by FILL_TILE_BYTES, not by the
-    chunk: at the default they hold the whole 504-day horizon here.)"""
+    outlive. (The fill tiles are bounded by BLOCK_BYTES, not by the
+    chunk: at the default they hold 127-128 of the 504 days here.)"""
     monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = ExperimentConfig.from_dict(config_dict(
         experiment="cost_sweep", n_paths=770, horizon=24.0, sweep_values=[0.0, 0.001]))
     whole = run_experiment(cfg)
     S = cfg.sim.n_steps
     monkeypatch.setattr(xl.experiments, "CHUNK_BYTES", 257 * 8 * (S + 1))
-    monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES", 16 * 8 * 257)
+    monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", 16 * 8 * 257)
     bundles, ledgers = [], []
 
     def recorded(fn, calls):
@@ -597,6 +597,17 @@ def _ctmc_pde_config(**pde):
     return d
 
 
+def _config_with(path, value, d=None):
+    """`d` (default `config_dict()`) with the field at the dotted `path` set to `value`."""
+    d = config_dict() if d is None else d
+    *sections, key = path.split(".")
+    node = d
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    return d
+
+
 @pytest.mark.parametrize("command, d", [
     ("sweep", config_dict(experiment="lambda_sweep", sweep_values=["abc"])),
     ("sweep", config_dict(experiment="lambda_sweep", sweep_values=0.1)),
@@ -613,15 +624,31 @@ def _ctmc_pde_config(**pde):
     ("pde", _ctmc_pde_config(nx=300.7)),
     ("pde", _ctmc_pde_config(nx="300")),
     ("pde", _ctmc_pde_config(nx=True)),
+    ("strategy", _config_with("sim.dt", True)),
+    ("strategy", _config_with("params.sigma", True)),
+    ("strategy", _config_with("params.drift.kappa", True)),
+    ("strategy", _config_with("params.drift.m1_0", True)),
+    ("strategy", _config_with("sim.x0", True)),
+    ("pde", _ctmc_pde_config(t_max=True)),
+    ("strategy", _config_with("sim.omega", "0.001")),
+    ("strategy", _config_with("params.lambda", "2")),
+    ("strategy", _config_with("out_dir", 5)),
+    ("strategy", _config_with("out_dir", ["a"])),
+    ("signal", _config_with("signal_input", 5, config_dict(experiment="signal"))),
+    ("strategy", _config_with("experiment", ["performance"])),
 ], ids=["sweep_value_text", "sweep_values_scalar", "pde_nx_text", "pde_t_max_text",
         "pde_nx_small", "pde_snapshot_beyond_t_max", "pde_t_max_infinite",
         "sweep_values_string", "sweep_values_object", "sweep_values_boolean",
         "pde_snapshots_string", "pde_snapshots_boolean", "pde_nx_fraction",
-        "pde_nx_numeric_text", "pde_nx_boolean"])
+        "pde_nx_numeric_text", "pde_nx_boolean", "dt_boolean", "sigma_boolean",
+        "kappa_boolean", "m1_0_boolean", "x0_boolean", "pde_t_max_boolean",
+        "omega_text", "lambda_text", "out_dir_number", "out_dir_list",
+        "signal_input_number", "experiment_list"])
 def test_cli_malformed_config_fields_exit_2(tmp_path, capsys, command, d):
     """A config field of the wrong type exits 2; no string, object or
-    boolean is read as a list of numbers, and no fraction, text or
-    boolean as a grid size."""
+    boolean is read as a number or a list of numbers, no fraction, text or
+    boolean as a grid size, and nothing but a string as a path or an
+    experiment name."""
     cfg = write_config(tmp_path, d)
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from expma_lab import (ConstantAffine, MetricsReport, SimConfig,
                        WealthLedger, compute_metrics, growth_limit_affine,
                        run_strategy, simulate_paths)
 from expma_lab.metrics import PathStats, path_stats
-from expma_lab.simulate import LEDGER_BLOCK_BYTES, block_rows
+from expma_lab.simulate import BLOCK_BYTES, block_rows
 
 
 def ledger_from_wealth(wealth, bankrupt=None, dt=1.0 / 21.0, omega=0.0, pi0=1.0):
@@ -133,7 +133,7 @@ def test_pooled_moments_match_exact_sums(n, steps, every):
     if every:
         bankrupt[::every] = True
     if steps == 40_000:
-        assert 8 * (steps + 1) > LEDGER_BLOCK_BYTES and block_rows(steps) == 1
+        assert 8 * (steps + 1) > BLOCK_BYTES and block_rows(steps) == 1
     m = compute_metrics(ledger_from_wealth(wealth, bankrupt=bankrupt))
     mean, sd = _fsum_moments(wealth, bankrupt)
     assert m.n_days_pooled == (n - bankrupt.sum()) * steps

@@ -74,7 +74,7 @@ def test_ou_fill_matches_per_path_generators(benchmark_params, monkeypatch, tile
     time-major tiles (1 step, 7 steps for the 256-path block, the whole
     horizon); a fresh generator per path and a path-major loop give the
     same bits."""
-    monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES", tile_bytes)
+    monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", tile_bytes)
     cfg = small_config(n_paths=300, horizon_months=3.0, x0=0.25)
     b = simulate_paths(benchmark_params, cfg, path_offset=1000)
     x, y, mu = ou_paths_per_path_rng(benchmark_params, cfg, path_offset=1000)
@@ -103,7 +103,7 @@ def test_expma_matches_strided_recursion(benchmark_params, long_markov_x, monkey
                     (ou_x, slice(100, 250)), (long_markov_x, slice(None))):
         m = 1 if x.ndim == 1 else len(range(*rows.indices(x.shape[0])))
         kind, size = tile
-        monkeypatch.setattr(xl.simulate, "FILL_TILE_BYTES",
+        monkeypatch.setattr(xl.simulate, "BLOCK_BYTES",
                             8 * m * size if kind == "steps" else size)
         out = np.full_like(x, np.nan)
         xl.simulate.expma(x[rows], lam, dt, out=out[rows])
@@ -111,6 +111,30 @@ def test_expma_matches_strided_recursion(benchmark_params, long_markov_x, monkey
         assert out[rows].tobytes() == ref.tobytes()
         if x.ndim == 2:  # rows outside the slice are left alone
             assert np.isnan(np.delete(out, np.arange(x.shape[0])[rows], axis=0)).all()
+
+
+def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params, monkeypatch):
+    """On a 1,000 x 504 OU bundle written into `out` buffers, `expma`
+    allocates its one tile array, about one BLOCK_BYTES, and `simulate_paths`
+    the fill's draws (two grids) and its x, mu and two-row noise tiles, about
+    four blocks, and a little more; neither allocates a grid of the bundle."""
+    monkeypatch.setenv("EXPMA_THREADS", "1")
+    cfg = small_config(n_paths=1000, horizon_months=24.0)
+    out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_steps)
+    b = simulate_paths(benchmark_params, cfg, out=out)
+    draws = 8 * cfg.n_paths * (1 + 2 * cfg.n_steps)
+    block = xl.simulate.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        xl.simulate.expma(b.x, benchmark_params.lam, cfg.dt, out=b.y)
+        expma_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        simulate_paths(benchmark_params, cfg, out=out)
+        fill_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expma_peak < 1.25 * block, expma_peak / block
+    assert draws < fill_peak < draws + 6 * block, (fill_peak - draws) / block
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0), (40.0, 25.0)])
@@ -499,7 +523,7 @@ def test_ledger_matches_fresh_blocks(ledger_cases, monkeypatch, case, omega, row
     at the default block size and at three paths per block."""
     bundle, strat = ledger_cases[case]
     if rows is not None:
-        monkeypatch.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", rows * 8 * (bundle.n_steps + 1))
+        monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", rows * 8 * (bundle.n_steps + 1))
     led = run_strategy(bundle, strat, omega)
     ref = ledger_fresh_blocks(bundle, strat, omega)
     for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
@@ -523,7 +547,7 @@ def test_ledger_block_size_invariant(monkeypatch, omega):
     row_bytes = 8 * (b.n_steps + 1)
     ledgers, metrics = [], []
     for rows in (1, 3, b.n_paths):
-        monkeypatch.setattr(xl.simulate, "LEDGER_BLOCK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", rows * row_bytes)
         ledgers.append(run_strategy(b, strat, omega))
         metrics.append(xl.compute_metrics(ledgers[-1]))
     assert ledgers[0].bankrupt[2] and ledgers[0].bankrupt[3]
