@@ -45,11 +45,11 @@ SWEEPS = {
 }
 
 # Target bytes per path grid of one chunk of a streamed Monte Carlo run. A
-# run holds about nine such grids at its peak: its buffers for the bundle
-# (x, y, mu) and for one ledger (wealth, pre_wealth, weights, delta),
-# allocated once, and the OU fill's draws (two grids: z and zbar for each
-# step), allocated per chunk; the fill's tiles and the ledger's row blocks
-# add a few `simulate.BLOCK_BYTES` more. Smaller chunks hold less but fill
+# run holds about seven such grids at its peak: its buffers for the bundle
+# (the X|Y row pair, two grids, in whose rows the OU fill draws its noise,
+# and mu) and for one ledger (wealth, pre_wealth, weights, delta), allocated
+# once; the fill's tiles and the ledger's row blocks add a few
+# `simulate.BLOCK_BYTES` more. Smaller chunks hold less but fill
 # narrower blocks, whose time loops pay numpy's per-call overhead at every
 # step.
 CHUNK_BYTES = 4 * 1024 * 1024

@@ -15,11 +15,14 @@ wealth ledger on blocks of paths, each of their arrays about BLOCK_BYTES so
 that it stays in cache; every operation is elementwise or along one path,
 so the block size changes no bit of the result. The ledger's blocks write
 into one set of temporaries allocated once per ledger, so no block
-allocates its own. `simulate_paths`
-and `run_strategy` allocate their grids, or write into the leading rows of
-caller-owned buffers (`out`, see `chunk_buffers`), so a streamed run
-allocates its grids once for all its chunks; every element is written
-either way, and nothing a buffer held before reaches a result.
+allocates its own. A bundle is two grids: an X|Y row pair, each row a
+path's X then its Y, and mu. The OU fill draws each path's noise into the
+path's own X|Y row and writes X over the draws it has read, so no fill
+allocates a draws buffer. `simulate_paths` and `run_strategy` allocate
+their grids, or write into the leading rows of caller-owned buffers
+(`out`, see `chunk_buffers`), so a streamed run allocates its grids once
+for all its chunks; every element is written either way, and nothing a
+buffer held before reaches a result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -58,8 +61,8 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 # before its first path chunk is drawn. A streamed run holds one chunk at a
 # time, so this bounds the work of a run, not the memory it holds; a single
 # `simulate_paths` call without `out` allocates three grids of this size
-# (~1 GB at the bound), and the OU fill's draws two more, split across the
-# worker threads' blocks, while it runs.
+# (~1 GB at the bound): the X|Y row pair, in whose rows the OU fill draws
+# its noise, and mu.
 MAX_ELEMENTS = 40_000_000
 # Bound per Markov-drift run on (alpha + beta) * n_steps * dt * n_paths, at
 # least twice the expected jump count. The jump draw takes about 0.2 us per
@@ -80,7 +83,8 @@ MIN_BLOCK_PATHS = 256
 @dataclass(frozen=True)
 class PathBundle:
     """Ensemble of discretized (X, Y, mu) trajectories, shape (n_paths, n_steps+1),
-    with the model and simulation settings it was drawn from."""
+    with the model and simulation settings it was drawn from. A drawn
+    bundle's x and y are the halves of one X|Y row pair."""
 
     x: np.ndarray
     y: np.ndarray
@@ -125,7 +129,10 @@ class BundleHash:
             f"{model}|{sim.seed}|{path_offset}|{sim.dt!r}|{sim.x0!r}".encode())
 
     def update(self, x: np.ndarray) -> None:
-        self._h.update(np.ascontiguousarray(x))  # the bytes of x.tobytes(), uncopied
+        # row by row, the bytes of x.tobytes(): the x of an X|Y row pair is
+        # not contiguous as a grid, but each of its rows is, and is not copied
+        for row in x:
+            self._h.update(np.ascontiguousarray(row))
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()[:16]
@@ -187,12 +194,14 @@ def _path_rngs(seed: int, first: int, count: int):
 
 
 def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
-             sl: slice, x, mu) -> None:
+             sl: slice, xy, mu) -> None:
     d: OUDrift = params.drift
     n_steps = config.n_steps
     m = sl.stop - sl.start
-    # path j draws mu_0, then (z, zbar) for each step, in that order
-    draws = np.empty((m, 1 + 2 * n_steps))
+    x, mu = xy[sl, :n_steps + 1], mu[sl]
+    # path j draws mu_0, then (z, zbar) for each step, in that order, into the
+    # leading 1 + 2 n_steps entries of its own X|Y row
+    draws = xy[sl, :1 + 2 * n_steps]
     for row, g in zip(draws, _path_rngs(config.seed, offset + sl.start, m)):
         g.standard_normal(out=row)
 
@@ -208,7 +217,13 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
     xs, mus, zs = list(x_t), list(mu_t), list(noise)  # the row views, formed once
     x_t[0] = config.x0
     mu_t[0] = d.m1_0 + math.sqrt(d.v1_0) * draws[:, 0]
-    x[sl, 0], mu[sl, 0] = x_t[0], mu_t[0]
+    x[:, 0], mu[:, 0] = x_t[0], mu_t[0]
+    # the X columns overwrite the draws behind them: the tile at step lo reads
+    # draw columns [1 + 2 lo, 1 + 2 (lo + k)) before it writes X columns
+    # [lo + 1, lo + k], and every later read is at a column
+    # >= 1 + 2 (lo + k) > lo + k, so no draw is overwritten before it is
+    # read; the draws left in Y's half are overwritten when the ExpMA writes
+    # every element of Y
     for lo in range(0, n_steps, tile):
         k = min(tile, n_steps - lo)
         # each noise tile is scaled once: rows 2i and 2i+1 hold step i's
@@ -231,8 +246,8 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
             np.multiply(mn, dt, out=mn)
             np.add(mus[i], mn, out=mn)
             np.add(mn, zs[2 * i + 1], out=mn)
-        x[sl, lo + 1:lo + k + 1] = x_t[1:k + 1].T
-        mu[sl, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
+        x[:, lo + 1:lo + k + 1] = x_t[1:k + 1].T
+        mu[:, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
 
 
@@ -289,9 +304,10 @@ def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
 
 
 def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
-               sl: slice, x, mu) -> None:
+               sl: slice, xy, mu) -> None:
     d: CTMC2Drift = params.drift
     n_steps = config.n_steps
+    x = xy[:, :n_steps + 1]
     dt, sig = config.dt, params.sigma
     sq = math.sqrt(dt)
     horizon = n_steps * dt
@@ -358,10 +374,12 @@ def _grids(out, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
 
 def chunk_buffers(rows: int, n_steps: int) -> tuple[list, list]:
     """The `out` buffers of `simulate_paths` and of `run_strategy` for
-    bundles of up to `rows` paths and `n_steps` steps: (x, y, mu) and
-    (wealth, pre_wealth, weights, delta)."""
+    bundles of up to `rows` paths and `n_steps` steps: (xy, mu), where each
+    row of xy is a path's X then its Y, and (wealth, pre_wealth, weights,
+    delta)."""
     S = n_steps
-    return _grids(None, rows, (S + 1,) * 3), _grids(None, rows, (S + 1, S, S, S + 1))
+    return (_grids(None, rows, (2 * (S + 1), S + 1)),
+            _grids(None, rows, (S + 1, S, S, S + 1)))
 
 
 def simulate_paths(params: ModelParams, config: SimConfig,
@@ -369,11 +387,13 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     """Generate a seeded ensemble; deterministic for fixed (seed, offsets).
 
     `path_offset` shifts the substream indices so large runs can be built
-    in chunks that agree bitwise with a single monolithic call. With `out`,
-    an (x, y, mu) set of buffers (`chunk_buffers`), the bundle's grids are
-    their leading rows; every element of them is written. EXPMA_THREADS
+    in chunks that agree bitwise with a single monolithic call. The bundle
+    is two grids: an X|Y row pair xy, whose left half is X and right half
+    is Y, and mu. With `out`, an (xy, mu) set of buffers (`chunk_buffers`),
+    they are its leading rows; every element of them is written. EXPMA_THREADS
     (default 1) sets the threads; the fill of one balanced path block per
-    thread draws X and mu, then one ExpMA pass per block forms its Y.
+    thread draws each path's noise into its xy row and forms X and mu over
+    it, then one ExpMA pass per block forms its Y.
     """
     check_limits(params, config)
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
@@ -382,12 +402,14 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     except ValueError as exc:
         raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
-    x, y, mu = _grids(out, config.n_paths, (config.n_steps + 1,) * 3)
+    width = config.n_steps + 1
+    xy, mu = _grids(out, config.n_paths, (2 * width, width))
+    x, y = xy[:, :width], xy[:, width:]
     fill = _fill_ou if params.is_ou else _fill_ctmc
 
     blocks = path_slices(config.n_paths, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda sl: fill(params, config, path_offset, sl, x, mu), blocks))
+        list(pool.map(lambda sl: fill(params, config, path_offset, sl, xy, mu), blocks))
         list(pool.map(lambda sl: expma(x[sl], params.lam, config.dt, out=y[sl]), blocks))
 
     return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)

@@ -331,9 +331,9 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     one-chunk run. Every `simulate_paths` and `run_strategy` call returns
     grids in the memory of the run's first call, so the buffers are sized
     for the largest chunk, not the first. With 16-step fill tiles, the
-    traced peak is about nine chunk grids: the bundle's three, one
-    ledger's four and the fill's draws, two, which the ledger buffers
-    outlive. (The fill tiles are bounded by BLOCK_BYTES, not by the
+    traced peak is about seven chunk grids: the bundle's three (its X|Y
+    row pair, which holds the fill's draws, and mu) and one ledger's
+    four. (The fill tiles are bounded by BLOCK_BYTES, not by the
     chunk: at the default they hold 127-128 of the 504 days here.)"""
     monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = ExperimentConfig.from_dict(config_dict(
@@ -372,7 +372,7 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
             for name in names:
                 assert np.shares_memory(getattr(call, name), getattr(calls[0], name)), name
     grid = 8 * 257 * (S + 1)
-    assert peak < 9.5 * grid, peak / grid
+    assert peak < 7.5 * grid, peak / grid
 
 
 def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
