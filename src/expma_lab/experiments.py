@@ -5,12 +5,13 @@ Every simulation experiment runs all of its strategies on the same paths
 (common random numbers), streamed over path chunks of about CHUNK_BYTES per
 grid: each chunk is drawn once and every strategy's ledger on it is reduced
 to per-path statistics. A run allocates its chunk buffers once, one bundle
-and one ledger sized for its largest chunk, and every chunk and ledger is
-written into their leading rows, so a run's memory is bounded by one
-chunk, not by `n_paths`. The chunking changes no bit of any report value.
-The report metadata records each run's bundle identity hash and path
-chunks, and every run is byte-reproducible from (config, seed): the CSV
-output carries no timestamp (the JSON metadata does).
+grid (the X|Y row pair) and one ledger, about six grids sized for its
+largest chunk, and every chunk and ledger is written into their leading
+rows, so a run's memory is bounded by one chunk, not by `n_paths`. The
+chunking changes no bit of any report value. The report metadata records
+each run's bundle identity hash and path chunks, and every run is
+byte-reproducible from (config, seed): the CSV output carries no timestamp
+(the JSON metadata does).
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ SWEEPS = {
 }
 
 # Target bytes per path grid of one chunk of a streamed Monte Carlo run. A
-# run holds about seven such grids at its peak: its buffers for the bundle
-# (the X|Y row pair, two grids, in whose rows the OU fill draws its noise,
-# and mu) and for one ledger (wealth, pre_wealth, weights, delta), allocated
-# once; the fill's tiles and the ledger's row blocks add a few
+# run holds about six such grids at its peak: its buffers for the bundle
+# (the X|Y row pair, two grids, in whose rows the OU fill draws its noise)
+# and for one ledger (wealth, pre_wealth, weights, delta), allocated once;
+# the fill's tiles and the ledger's row blocks add a few
 # `simulate.BLOCK_BYTES` more. Smaller chunks hold less but fill
 # narrower blocks, whose time loops pay numpy's per-call overhead at every
 # step.
@@ -314,7 +315,7 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
 
     Every run's rows are built first, so a failing strategy ends the run
     before it draws. Each path chunk is drawn once into the group's bundle
-    buffers (a later run of the group forms its Y from the chunk's X in the
+    buffer (a later run of the group forms its Y from the chunk's X in the
     chunk's Y buffer), and every row of every run writes its ledger into the
     group's ledger buffers and reduces it to per-path statistics: common
     random numbers hold, and memory is bounded by one chunk. Per-path
@@ -331,10 +332,10 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     # every chunk's bundle, and every ledger on it, is written into the leading
     # rows of one set of buffers sized for the largest chunk
     sizes = [sl.stop - sl.start for sl in chunks]
-    paths_out, ledger_out = chunk_buffers(max(sizes), s0.n_steps)
+    xy, ledger_out = chunk_buffers(max(sizes), s0.n_steps)
     for sl in chunks:
         chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
-                               path_offset=sl.start, out=paths_out)
+                               path_offset=sl.start, out=xy)
         bundle_hash.update(chunk.x)
         for i, ((_, p, s), cell) in enumerate(zip(group, cells)):
             if i:

@@ -15,14 +15,15 @@ wealth ledger on blocks of paths, each of their arrays about BLOCK_BYTES so
 that it stays in cache; every operation is elementwise or along one path,
 so the block size changes no bit of the result. The ledger's blocks write
 into one set of temporaries allocated once per ledger, so no block
-allocates its own. A bundle is two grids: an X|Y row pair, each row a
-path's X then its Y, and mu. The OU fill draws each path's noise into the
-path's own X|Y row and writes X over the draws it has read, so no fill
-allocates a draws buffer. `simulate_paths` and `run_strategy` allocate
-their grids, or write into the leading rows of caller-owned buffers
-(`out`, see `chunk_buffers`), so a streamed run allocates its grids once
-for all its chunks; every element is written either way, and nothing a
-buffer held before reaches a result.
+allocates its own. A bundle is one grid, an X|Y row pair, each row a
+path's X then its Y, and each path's terminal drift: no strategy sees the
+drift, so the fills carry it only as state. The OU fill draws each path's
+noise into its own X|Y row and writes X over the draws it has read, so no
+fill allocates a draws buffer. `simulate_paths` and `run_strategy`
+allocate their grids, or write into the leading rows of caller-owned
+buffers (`out`, see `chunk_buffers`), so a streamed run allocates its
+grids once for all its chunks; every element is written either way, and
+nothing a buffer held before reaches a result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -60,9 +61,9 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 # Bound on a run's path grid, n_paths * (n_steps + 1), checked (`check_limits`)
 # before its first path chunk is drawn. A streamed run holds one chunk at a
 # time, so this bounds the work of a run, not the memory it holds; a single
-# `simulate_paths` call without `out` allocates three grids of this size
-# (~1 GB at the bound): the X|Y row pair, in whose rows the OU fill draws
-# its noise, and mu.
+# `simulate_paths` call without `out` allocates two grids of this size
+# (~640 MB at the bound): the X|Y row pair, in whose rows the OU fill draws
+# its noise.
 MAX_ELEMENTS = 40_000_000
 # Bound per Markov-drift run on (alpha + beta) * n_steps * dt * n_paths, at
 # least twice the expected jump count. The jump draw takes about 0.2 us per
@@ -82,9 +83,9 @@ MIN_BLOCK_PATHS = 256
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Ensemble of discretized (X, Y, mu) trajectories, shape (n_paths, n_steps+1),
-    with the model and simulation settings it was drawn from. A drawn
-    bundle's x and y are the halves of one X|Y row pair."""
+    """Ensemble of discretized (X, Y) trajectories, shape (n_paths, n_steps+1),
+    each path's terminal drift mu, shape (n_paths,), and the settings it was
+    drawn from. A drawn bundle's x and y are halves of one X|Y row pair."""
 
     x: np.ndarray
     y: np.ndarray
@@ -97,10 +98,6 @@ class PathBundle:
     def z(self) -> np.ndarray:
         """The signal Z = X - Y, a new grid on every read."""
         return self.x - self.y
-
-    @property
-    def model(self) -> str:
-        return "ou" if self.params.is_ou else "ctmc2"
 
     @property
     def n_paths(self) -> int:
@@ -198,7 +195,7 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
     d: OUDrift = params.drift
     n_steps = config.n_steps
     m = sl.stop - sl.start
-    x, mu = xy[sl, :n_steps + 1], mu[sl]
+    x = xy[sl, :n_steps + 1]
     # path j draws mu_0, then (z, zbar) for each step, in that order, into the
     # leading 1 + 2 n_steps entries of its own X|Y row
     draws = xy[sl, :1 + 2 * n_steps]
@@ -217,7 +214,7 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
     xs, mus, zs = list(x_t), list(mu_t), list(noise)  # the row views, formed once
     x_t[0] = config.x0
     mu_t[0] = d.m1_0 + math.sqrt(d.v1_0) * draws[:, 0]
-    x[:, 0], mu[:, 0] = x_t[0], mu_t[0]
+    x[:, 0] = x_t[0]
     # the X columns overwrite the draws behind them: the tile at step lo reads
     # draw columns [1 + 2 lo, 1 + 2 (lo + k)) before it writes X columns
     # [lo + 1, lo + k], and every later read is at a column
@@ -247,8 +244,8 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
             np.add(mus[i], mn, out=mn)
             np.add(mn, zs[2 * i + 1], out=mn)
         x[:, lo + 1:lo + k + 1] = x_t[1:k + 1].T
-        mu[:, lo + 1:lo + k + 1] = mu_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
+    mu[sl] = mu_t[0]
 
 
 def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
@@ -314,6 +311,7 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     p_high = d.alpha / (d.alpha + d.beta)
     bounds = np.arange(n_steps + 1) * dt
     zs = np.empty(n_steps)
+    state = np.empty(n_steps + 1)
     gather = np.empty((2, n_steps + 1))
 
     rngs = _path_rngs(config.seed, offset + sl.start, sl.stop - sl.start)
@@ -324,7 +322,8 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
 
         # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
         steps = x[row, 1:]
-        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, mu[row], steps, gather)
+        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, state, steps, gather)
+        mu[row] = state[-1]
         steps -= 0.5 * sig**2 * dt
         zs *= sig * sq
         steps += zs
@@ -365,20 +364,21 @@ def _grids(out, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     if out is None:
         return [np.empty((rows, w)) for w in widths]
     if len(out) != len(widths) or any(
-            b.dtype != np.float64 or b.ndim != 2 or b.shape[1] != w or b.shape[0] < rows
+            not isinstance(b, np.ndarray) or b.dtype != np.float64 or b.ndim != 2
+            or b.shape[1] != w or b.shape[0] < rows
             for b, w in zip(out, widths)):
         raise ValueError(f"out must be {len(widths)} float64 grids of at least "
                          f"{rows} rows and widths {widths}")
     return [b[:rows] for b in out]
 
 
-def chunk_buffers(rows: int, n_steps: int) -> tuple[list, list]:
+def chunk_buffers(rows: int, n_steps: int) -> tuple[np.ndarray, list]:
     """The `out` buffers of `simulate_paths` and of `run_strategy` for
-    bundles of up to `rows` paths and `n_steps` steps: (xy, mu), where each
-    row of xy is a path's X then its Y, and (wealth, pre_wealth, weights,
+    bundles of up to `rows` paths and `n_steps` steps: the X|Y grid xy,
+    each row a path's X then its Y, and (wealth, pre_wealth, weights,
     delta)."""
     S = n_steps
-    return (_grids(None, rows, (2 * (S + 1), S + 1)),
+    return (np.empty((rows, 2 * (S + 1))),
             _grids(None, rows, (S + 1, S, S, S + 1)))
 
 
@@ -388,12 +388,12 @@ def simulate_paths(params: ModelParams, config: SimConfig,
 
     `path_offset` shifts the substream indices so large runs can be built
     in chunks that agree bitwise with a single monolithic call. The bundle
-    is two grids: an X|Y row pair xy, whose left half is X and right half
-    is Y, and mu. With `out`, an (xy, mu) set of buffers (`chunk_buffers`),
-    they are its leading rows; every element of them is written. EXPMA_THREADS
-    (default 1) sets the threads; the fill of one balanced path block per
-    thread draws each path's noise into its xy row and forms X and mu over
-    it, then one ExpMA pass per block forms its Y.
+    is one grid, an X|Y row pair xy, whose left half is X and right half is
+    Y, and each path's terminal drift mu. With `out`, an xy buffer
+    (`chunk_buffers`), the grid is its leading rows; every element of them
+    is written. EXPMA_THREADS (default 1) sets the threads; the fill of one
+    balanced path block per thread draws each path's noise into its xy row
+    and forms X over it, then one ExpMA pass per block forms its Y.
     """
     check_limits(params, config)
     raw = os.environ.get("EXPMA_THREADS", "1") or "1"
@@ -403,7 +403,8 @@ def simulate_paths(params: ModelParams, config: SimConfig,
         raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
     width = config.n_steps + 1
-    xy, mu = _grids(out, config.n_paths, (2 * width, width))
+    (xy,) = _grids(None if out is None else (out,), config.n_paths, (2 * width,))
+    mu = np.empty(config.n_paths)
     x, y = xy[:, :width], xy[:, width:]
     fill = _fill_ou if params.is_ou else _fill_ctmc
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,10 +332,10 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     one-chunk run. Every `simulate_paths` and `run_strategy` call returns
     grids in the memory of the run's first call, so the buffers are sized
     for the largest chunk, not the first. With 16-step fill tiles, the
-    traced peak is about seven chunk grids: the bundle's three (its X|Y
-    row pair, which holds the fill's draws, and mu) and one ledger's
-    four. (The fill tiles are bounded by BLOCK_BYTES, not by the
-    chunk: at the default they hold 127-128 of the 504 days here.)"""
+    traced peak is about six chunk grids: the bundle's two (its X|Y row
+    pair, which holds the fill's draws) and one ledger's four. (The fill
+    tiles are bounded by BLOCK_BYTES, not by the chunk: at the default they
+    hold 127-128 of the 504 days here.)"""
     monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = ExperimentConfig.from_dict(config_dict(
         experiment="cost_sweep", n_paths=770, horizon=24.0, sweep_values=[0.0, 0.001]))
@@ -366,13 +367,13 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     assert [r.to_dict() for r in streamed.rows] == [r.to_dict() for r in whole.rows]
     assert streamed.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
     assert (len(bundles), len(ledgers)) == (3, 9)
-    for calls, names in ((bundles, ("x", "y", "mu")),
+    for calls, names in ((bundles, ("x", "y")),
                          (ledgers, ("wealth", "pre_wealth", "weights", "delta"))):
         for call in calls:
             for name in names:
                 assert np.shares_memory(getattr(call, name), getattr(calls[0], name)), name
     grid = 8 * 257 * (S + 1)
-    assert peak < 7.5 * grid, peak / grid
+    assert peak < 6.5 * grid, peak / grid
 
 
 def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
@@ -909,6 +910,19 @@ def test_cli_strategy_overflow_exits_3(tmp_path, capsys, section, field, value):
     assert cli_main(["strategy", "--config", write_config(tmp_path, d)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: OverflowError: ")
+
+
+def test_cli_strategy_nonfinite_exponential_sum_exits_3_without_a_nan(tmp_path, capsys):
+    """With mu_bar at 1e200 and a finite m1_0, the third-moment series holds
+    infinite terms of both signs: the sum raises a named error before it
+    adds them, where it formed a NaN with an `invalid value` warning."""
+    d = json.loads((CONFIGS / "performance.json").read_text())
+    d["params"]["drift"].update(mu_bar=1e200, m1_0=0.0034)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["strategy", "--config", write_config(tmp_path, d)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: exponential-sum term ")
 
 
 @pytest.mark.parametrize("config, out", [

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from expma_lab import (ABCD, DegenerateZProcessError, ModelParams, OUDrift,
-                       OUCoefficients, affine_objective, convergence_day,
-                       eta, eta_upper_bound, full_information_rate,
+                       OUCoefficients, QuadratureError, affine_objective,
+                       convergence_day, eta, eta_upper_bound, full_information_rate,
                        growth_limit_affine, hat_lambda, optimal_affine_from_abcd,
                        optimal_c2_coefficients, optimal_utility_affine, ou_abcd,
                        ou_moments, value_functions)
@@ -388,6 +388,18 @@ def test_full_information_rate_is_value_functions_xi(params):
     assert xi == d.delta**2 / (4.0 * d.kappa * sig2) + d.mu_bar**2 / (2.0 * sig2)
     for T in (0.5, 6.0, 24.0, 120.0):
         assert value_functions(params, T).xi == xi
+
+
+# A valid model on which QUADPACK flags roundoff in the v2_star integral at
+# T = 0.5: near t = 1e-3 the signal correlation carries about 3e-7 relative
+# noise from cancelling exponential sums. Once value_functions returns a
+# value here, this becomes an @example of the test above.
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="v2_star integrand flagged for roundoff")
+def test_value_functions_on_a_roundoff_flagged_model():
+    p = ou_params(kappa=0.03125, lam=0.0625, mu_bar=0.0, delta=0.25, sigma=0.02,
+                  m1_0=0.0, v1_0=0.03125)
+    assert value_functions(p, 0.5).xi == full_information_rate(p)
 
 
 def test_value_functions_ordering_on_grid(benchmark_params):

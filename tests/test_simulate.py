@@ -66,7 +66,7 @@ def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
         monkeypatch.setenv("EXPMA_THREADS", "4")
         b4 = simulate_paths(params, cfg)
         assert np.array_equal(b1.x, b4.x)
-        assert np.array_equal(b1.mu, b4.mu)
+        assert b1.mu.shape == (cfg.n_paths,) and np.array_equal(b1.mu, b4.mu)
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 8 * 256 * 7, 1 << 40])
@@ -74,14 +74,14 @@ def test_ou_fill_matches_per_path_generators(benchmark_params, monkeypatch, tile
     """The fill reuses one generator per block and runs the recursion on
     time-major tiles (1 step, 5 steps for the one 300-path block, the whole
     horizon); a fresh generator per path and a path-major loop give the
-    same bits."""
+    same bits, and the bundle keeps the loop's terminal drift."""
     monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", tile_bytes)
     cfg = small_config(n_paths=300, horizon_months=3.0, x0=0.25)
     b = simulate_paths(benchmark_params, cfg, path_offset=1000)
     x, y, mu = ou_paths_per_path_rng(benchmark_params, cfg, path_offset=1000)
     assert np.array_equal(b.x, x)
     assert np.array_equal(b.y, y)
-    assert np.array_equal(b.mu, mu)
+    assert np.array_equal(b.mu, mu[:, -1])
     assert np.array_equal(b.z, x - y)
 
 
@@ -138,11 +138,11 @@ def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params, monkeyp
     assert fill_peak < 6 * block, fill_peak / block
 
 
-def test_ou_call_without_out_holds_about_its_three_grids(benchmark_params, monkeypatch):
+def test_ou_call_without_out_holds_about_its_two_grids(benchmark_params, monkeypatch):
     """An OU `simulate_paths` call without `out` at 2,000 x 505 allocates
-    its X|Y row pair and mu, three grids, and draws its noise into the X|Y
-    rows: its traced peak stays under 3.5 grids, with no draws buffer of
-    two grids on top."""
+    its X|Y row pair, two grids, and draws its noise into the X|Y rows: its
+    traced peak stays under 2.5 grids, with no drift grid and no draws
+    buffer on top."""
     monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = small_config(n_paths=2000, horizon_months=24.0)
     grid = 8 * cfg.n_paths * (cfg.n_steps + 1)
@@ -153,7 +153,7 @@ def test_ou_call_without_out_holds_about_its_three_grids(benchmark_params, monke
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * grid, peak / grid
+    assert peak < 2.5 * grid, peak / grid
 
 
 def test_bundle_hash_reads_the_rows_of_a_row_pair_x(benchmark_params):
@@ -213,15 +213,17 @@ def test_bundle_invariants(benchmark_params, ctmc_params):
         assert np.all(b.y[:, 0] == 0.0)
         assert np.all(b.x[:, 0] == 0.25)
         assert np.array_equal(b.z, b.x - b.y)
+        assert b.mu.shape == (cfg.n_paths,) and np.isfinite(b.mu).all()
     bc = simulate_paths(ctmc_params, cfg)
     states = {ctmc_params.drift.rho1, ctmc_params.drift.rho2}
     assert set(np.unique(bc.mu)) <= states
 
 
 def test_each_quantity_is_stored_once(benchmark_params):
-    """The bundle stores X, Y and mu with the settings it was drawn from;
-    Z = X - Y is formed where it is read. The ledger keeps no copy of what
-    the bundle and the strategy hold, and no strategy carries a label."""
+    """The bundle stores X, Y and the terminal drift with the settings it
+    was drawn from; Z = X - Y is formed where it is read. The ledger keeps
+    no copy of what the bundle and the strategy hold, and no strategy
+    carries a label."""
     assert {f.name for f in dataclasses.fields(xl.PathBundle)} == {
         "x", "y", "mu", "params", "sim", "path_offset"}
     assert {f.name for f in dataclasses.fields(xl.WealthLedger)} == {
@@ -232,13 +234,14 @@ def test_each_quantity_is_stored_once(benchmark_params):
     b = simulate_paths(benchmark_params, cfg)
     assert b.sim is cfg
     assert b.z.tobytes() == np.subtract(b.x, b.y).tobytes()
-    assert b.model == "ou"
+    assert b.mu.shape == (cfg.n_paths,)
+    assert b.params.is_ou
 
 
 def test_simulate_and_ledger_peak_memory(benchmark_params):
-    """Bundle plus one affine ledger at 2000 x 505 peak at about 7.3 grids:
-    the bundle's three, the ledger's four, the weights call's temporary and
-    the row blocks. A stored Z grid would make that 8.3."""
+    """Bundle plus one affine ledger at 2000 x 505 peak at about 6.3 grids:
+    the bundle's two, the ledger's four and the row blocks. A stored drift
+    grid would make that 7.3, and a stored Z grid one more."""
     cfg = SimConfig(horizon_months=24.0, n_paths=2000, seed=5)
     grid = 8 * cfg.n_paths * (cfg.n_steps + 1)
     strat = ConstantAffine(*growth_limit_affine(benchmark_params))
@@ -249,7 +252,7 @@ def test_simulate_and_ledger_peak_memory(benchmark_params):
     finally:
         tracemalloc.stop()
     assert led.bankrupt.sum() == 0
-    assert peak < 7.8 * grid, peak / grid
+    assert peak < 6.8 * grid, peak / grid
 
 
 def test_metrics_peak_memory(benchmark_params):
@@ -313,7 +316,7 @@ def test_z_moments_match_closed_forms(benchmark_params):
     for off in range(0, n_total, chunk):
         b = simulate_paths(benchmark_params, cfg, path_offset=off)
         z_final[off:off + chunk] = b.z[:, -1]
-        mu_final[off:off + chunk] = b.mu[:, -1]
+        mu_final[off:off + chunk] = b.mu
     m = ou_moments(benchmark_params, t)
     n = n_total
     assert abs(z_final.mean() - m.m2) < 3 * z_final.std(ddof=1) / math.sqrt(n)
@@ -645,15 +648,15 @@ def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentl
     assert [type(s) for _, s in cases] == [ConstantAffine, xl.TimeVaryingAffine,
                                            NonlinearFilter, BuyAndHold, ConstantAffine]
     for params, strat in cases:
-        xy, mu = (np.full((cfg.n_paths + spare, w), np.nan) for w in (2 * (S + 1), S + 1))
-        paths_out = [xy, mu]
+        xy = np.full((cfg.n_paths + spare, 2 * (S + 1)), np.nan)
         ledger_out = [np.full((cfg.n_paths + spare, w), np.nan) for w in (S + 1, S, S, S + 1)]
         fresh = simulate_paths(params, cfg)
-        bundle = simulate_paths(params, cfg, out=paths_out)
-        for name, buf in zip(("x", "y", "mu"), (xy, xy, mu)):
+        bundle = simulate_paths(params, cfg, out=xy)
+        for name in ("x", "y"):
             got = getattr(bundle, name)
             assert got.tobytes() == getattr(fresh, name).tobytes(), name
-            assert np.shares_memory(got, buf) and np.isnan(buf[cfg.n_paths:]).all(), name
+            assert np.shares_memory(got, xy) and np.isnan(xy[cfg.n_paths:]).all(), name
+        assert bundle.mu.tobytes() == fresh.mu.tobytes()
         ref = run_strategy(fresh, strat, omega)
         led = run_strategy(bundle, strat, omega, out=ledger_out)
         for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
@@ -664,5 +667,6 @@ def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentl
     assert led.bankrupt.any()
     with pytest.raises(ValueError):
         run_strategy(bundle, strat, omega, out=[b[:cfg.n_paths - 1] for b in ledger_out])
-    with pytest.raises(ValueError):
-        simulate_paths(params, cfg, out=paths_out[:1])
+    for wrong in (xy[:, :-1], (xy, xy[:, :S + 1])):  # a narrow grid; the old (xy, mu) pair
+        with pytest.raises(ValueError):
+            simulate_paths(params, cfg, out=wrong)
