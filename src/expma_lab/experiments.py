@@ -3,15 +3,17 @@ tables, transport-grid exports, and the price-file signal pipeline.
 
 Every simulation experiment runs all of its strategies on the same paths
 (common random numbers), streamed over path chunks of about CHUNK_BYTES per
-grid: each chunk is drawn once and every strategy's ledger on it is reduced
-to per-path statistics. A run allocates its chunk buffers once, one bundle
-grid (the X|Y row pair) and one ledger, about six grids sized for its
-largest chunk, and every chunk and ledger is written into their leading
-rows, so a run's memory is bounded by one chunk, not by `n_paths`. The
-chunking changes no bit of any report value. The report metadata records
-each run's bundle identity hash and path chunks, and every run is
-byte-reproducible from (config, seed): the CSV output carries no timestamp
-(the JSON metadata does).
+grid: each chunk is drawn once, and every strategy's ledger on it runs on
+row slices of at most CHUNK_BYTES per grid, each reduced to per-path
+statistics. A run allocates its buffers once, the X|Y row pair (two grids)
+of its largest chunk and one ledger (four grids) of one slice, and every
+chunk and ledger is written into their leading rows, so a run's memory is
+bounded by the X|Y pair of the largest chunk plus four ledger slices of at
+most CHUNK_BYTES, not by `n_paths`. The chunking changes no bit of any
+report value. The report metadata records each run's bundle identity hash,
+path chunks and effective horizon, and every run is byte-reproducible from
+(config, seed): the CSV output carries no timestamp (the JSON metadata
+does).
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ SWEEPS = {
     "cost_sweep": ("omega", lambda c, v: (c.params, replace(c.sim, omega=v))),
 }
 
-# Target bytes per path grid of one chunk of a streamed Monte Carlo run. A
-# run holds about six such grids at its peak: its buffers for the bundle
-# (the X|Y row pair, two grids, in whose rows the OU fill draws its noise)
-# and for one ledger (wealth, pre_wealth, weights, delta), allocated once;
-# the fill's tiles and the ledger's row blocks add a few
-# `simulate.BLOCK_BYTES` more. Smaller chunks hold less but fill
+# Target bytes per path grid of one chunk of a streamed Monte Carlo run, and
+# the most per grid of one ledger slice. A run holds, allocated once, the
+# X|Y row pair of its largest chunk (two grids, in whose rows the OU fill
+# draws its noise) and four ledger slices (wealth, pre_wealth, weights,
+# delta) of at most this many bytes each; the fill's tiles and the ledger's
+# row blocks add a few `simulate.BLOCK_BYTES` more. A chunk is floored at
+# `simulate.MIN_BLOCK_PATHS` paths, so a long horizon's chunk can pass this
+# size, but its ledger slices do not. Smaller chunks hold less but fill
 # narrower blocks, whose time loops pay numpy's per-call overhead at every
 # step.
 CHUNK_BYTES = 4 * 1024 * 1024
@@ -291,8 +295,8 @@ def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
     path is drawn. The panel and the cost sweep are one run (paths do not
     depend on omega). The lambda sweep's runs share one draw of X, since
     only Y = ExpMA(X) depends on lambda; every other sweep draws one run
-    per sweep value. The metadata records each run's bundle hash and its
-    path chunks.
+    per sweep value. The metadata records each run's bundle hash, its path
+    chunks and its effective horizon, `n_steps * dt` months.
     """
     kind = config.experiment
     if kind in ("performance", "cost_sweep"):
@@ -301,6 +305,8 @@ def _run_monte_carlo(config: ExperimentConfig, md: dict) -> ReportSet:
         runs = [(v, *SWEEPS[kind][1](config, v)) for v in config.sweep_values]
     for _, p, s in runs:
         check_limits(p, s)
+    # n_steps rounds horizon / dt to whole steps; the horizon each run took
+    md["effective_horizon_months"] = [s.n_steps * s.dt for _, _, s in runs]
     md["path_chunks"] = []
     param_name = SWEEPS[kind][0] if kind in SWEEPS else ""
     rows = []
@@ -314,25 +320,29 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     """The report rows of `group`, runs that share the draw of its first.
 
     Every run's rows are built first, so a failing strategy ends the run
-    before it draws. Each path chunk is drawn once into the group's bundle
+    before it draws. Each path chunk is drawn once into the group's X|Y
     buffer (a later run of the group forms its Y from the chunk's X in the
-    chunk's Y buffer), and every row of every run writes its ledger into the
-    group's ledger buffers and reduces it to per-path statistics: common
-    random numbers hold, and memory is bounded by one chunk. Per-path
-    substreams, row-local statistics and one hash fed the chunks in order
-    give every report value and bundle hash the bits of one unchunked run.
+    chunk's Y buffer). Every row of every run then writes its ledger on
+    consecutive row slices of the chunk, of at most CHUNK_BYTES per grid,
+    into the group's ledger buffers and reduces each to per-path
+    statistics: common random numbers hold, and memory is bounded by the
+    X|Y pair of the largest chunk plus four ledger slices. Per-path
+    substreams, row-local ledgers and statistics and one hash fed the
+    chunks in order give every report value and bundle hash the bits of one
+    unchunked run.
     """
     _, p0, s0 = group[0]
     n = s0.n_paths
     per_chunk = max(1, CHUNK_BYTES // (8 * (s0.n_steps + 1)))
     chunks = path_slices(n, -(-n // per_chunk))
     bundle_hash = BundleHash(p0, s0)
-    # each run's rows, each with the per-path statistics of every chunk
+    # each run's rows, each with the per-path statistics of every ledger slice
     cells = [[(*row, []) for row in _run_rows(config, p, s, v)] for v, p, s in group]
-    # every chunk's bundle, and every ledger on it, is written into the leading
-    # rows of one set of buffers sized for the largest chunk
+    # the ledger has no time loop, so unlike a chunk its slices are not
+    # floored at MIN_BLOCK_PATHS paths
     sizes = [sl.stop - sl.start for sl in chunks]
-    xy, ledger_out = chunk_buffers(max(sizes), s0.n_steps)
+    ledger_rows = min(per_chunk, max(sizes))
+    xy, ledger_out = chunk_buffers(max(sizes), ledger_rows, s0.n_steps)
     for sl in chunks:
         chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
                                path_offset=sl.start, out=xy)
@@ -340,9 +350,11 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
         for i, ((_, p, s), cell) in enumerate(zip(group, cells)):
             if i:
                 chunk = replace(chunk, params=p, y=expma(chunk.x, p.lam, s.dt, out=chunk.y))
-            # each ledger goes into its statistics before the next overwrites it
-            for _, strat, omega, _, parts in cell:
-                parts.append(path_stats(run_strategy(chunk, strat, omega, out=ledger_out)))
+            for lo in range(0, chunk.n_paths, ledger_rows):
+                part = chunk.rows(lo, lo + ledger_rows)
+                # each ledger goes into its statistics before the next overwrites it
+                for _, strat, omega, _, parts in cell:
+                    parts.append(path_stats(run_strategy(part, strat, omega, out=ledger_out)))
     rows = []
     for cell in cells:
         md["bundle_hashes"].append(bundle_hash.hexdigest())

@@ -22,8 +22,10 @@ noise into its own X|Y row and writes X over the draws it has read, so no
 fill allocates a draws buffer. `simulate_paths` and `run_strategy`
 allocate their grids, or write into the leading rows of caller-owned
 buffers (`out`, see `chunk_buffers`), so a streamed run allocates its
-grids once for all its chunks; every element is written either way, and
-nothing a buffer held before reaches a result.
+grids once for all its chunks: the X|Y pair of its largest chunk, and
+four ledger grids of one row slice of a chunk (`PathBundle.rows`) of at
+most `experiments.CHUNK_BYTES` each; every element is written either way,
+and nothing a buffer held before reaches a result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -49,7 +51,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +61,9 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy)
 
 # Bound on a run's path grid, n_paths * (n_steps + 1), checked (`check_limits`)
-# before its first path chunk is drawn. A streamed run holds one chunk at a
-# time, so this bounds the work of a run, not the memory it holds; a single
+# before its first path chunk is drawn. A streamed run holds the X|Y pair of
+# one chunk and four ledger slices of at most `experiments.CHUNK_BYTES`, so
+# this bounds the work of a run, not the memory it holds; a single
 # `simulate_paths` call without `out` allocates two grids of this size
 # (~640 MB at the bound): the X|Y row pair, in whose rows the OU fill draws
 # its noise.
@@ -106,6 +109,14 @@ class PathBundle:
     @property
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
+
+    def rows(self, lo: int, hi: int) -> "PathBundle":
+        """Paths lo..hi-1 as row views: the bundle `simulate_paths` draws for
+        them at `path_offset + lo`."""
+        x = self.x[lo:hi]
+        return replace(self, x=x, y=self.y[lo:hi], mu=self.mu[lo:hi],
+                       sim=replace(self.sim, n_paths=x.shape[0]),
+                       path_offset=self.path_offset + lo)
 
     def identity_hash(self) -> str:
         h = BundleHash(self.params, self.sim, self.path_offset)
@@ -372,14 +383,15 @@ def _grids(out, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     return [b[:rows] for b in out]
 
 
-def chunk_buffers(rows: int, n_steps: int) -> tuple[np.ndarray, list]:
-    """The `out` buffers of `simulate_paths` and of `run_strategy` for
-    bundles of up to `rows` paths and `n_steps` steps: the X|Y grid xy,
-    each row a path's X then its Y, and (wealth, pre_wealth, weights,
-    delta)."""
+def chunk_buffers(rows: int, ledger_rows: int, n_steps: int) -> tuple[np.ndarray, list]:
+    """The `out` buffers of a streamed run of `n_steps` steps: the X|Y grid
+    xy of `simulate_paths` for chunks of up to `rows` paths, each row a
+    path's X then its Y, and the (wealth, pre_wealth, weights, delta) of
+    `run_strategy` for ledgers of up to `ledger_rows` paths, which a run
+    writes one row slice of its chunk at a time (`PathBundle.rows`)."""
     S = n_steps
     return (np.empty((rows, 2 * (S + 1))),
-            _grids(None, rows, (S + 1, S, S, S + 1)))
+            _grids(None, ledger_rows, (S + 1, S, S, S + 1)))
 
 
 def simulate_paths(params: ModelParams, config: SimConfig,

@@ -147,16 +147,24 @@ def ctmc_drift_by_search(jumps, start_high, rho1, rho2, bounds):
 
 def mc_log_growth(params, strategy, horizon, n_paths, dt, seed, chunk=200, omega=0.0):
     """Per-path (1/T) log terminal wealth under one strategy, chunked to
-    bound memory; exact per-path substreams make the chunking irrelevant."""
+    bound memory; exact per-path substreams make the chunking irrelevant.
+    Each chunk is drawn into one X|Y buffer, and its ledger runs on row
+    slices of at most `experiments.CHUNK_BYTES` per grid in one set of
+    ledger buffers, as a streamed run's does; the ledger is row-local, so
+    the slicing changes no bit."""
     import expma_lab as xl
 
     vals = []
     cfg = xl.SimConfig(horizon_months=horizon, n_paths=min(chunk, n_paths),
                        seed=seed, dt=dt)
+    rows = min(cfg.n_paths, max(1, xl.experiments.CHUNK_BYTES // (8 * (cfg.n_steps + 1))))
+    xy, ledger_out = xl.simulate.chunk_buffers(cfg.n_paths, rows, cfg.n_steps)
     for off in range(0, n_paths, cfg.n_paths):
-        bundle = xl.simulate_paths(params, cfg, path_offset=off)
-        ledger = xl.run_strategy(bundle, strategy, omega)
-        vals.append(np.log(ledger.wealth[:, -1] / ledger.pi0) / horizon)
+        bundle = xl.simulate_paths(params, cfg, path_offset=off, out=xy)
+        for lo in range(0, cfg.n_paths, rows):
+            ledger = xl.run_strategy(bundle.rows(lo, lo + rows), strategy, omega,
+                                     out=ledger_out)
+            vals.append(np.log(ledger.wealth[:, -1] / ledger.pi0) / horizon)
     return np.concatenate(vals)[:n_paths]
 
 

@@ -376,6 +376,50 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     assert peak < 6.5 * grid, peak / grid
 
 
+def test_long_row_ledgers_run_on_chunk_bytes_slices(monkeypatch):
+    """A 300 x 2,520 Markov panel is one path chunk, floored at
+    MIN_BLOCK_PATHS, even at a CHUNK_BYTES of 64 rows. Its ledgers then run
+    on row slices of at most 64 paths, ceil(300 / 64) = 5 per row, every
+    one in the memory of the first, and the run reports the CSV, JSON rows
+    and bundle hashes of the default run. Its traced peak is about the
+    chunk's two X|Y grids plus four slice grids, where a ledger as tall as
+    the chunk holds six chunk grids."""
+    monkeypatch.setenv("EXPMA_THREADS", "1")
+    cfg = ExperimentConfig.from_dict(markov_config(n_paths=300, horizon=120.0))
+    whole = run_experiment(cfg)
+    row_bytes = 8 * (cfg.sim.n_steps + 1)
+    monkeypatch.setattr(xl.experiments, "CHUNK_BYTES", 64 * row_bytes)
+    calls = []
+    run = xl.experiments.run_strategy
+
+    def recorded(bundle, strategy, omega, **kwargs):
+        calls.append((strategy, run(bundle, strategy, omega, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(xl.experiments, "run_strategy", recorded)
+    tracemalloc.start()
+    try:
+        sliced = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sliced.metadata["path_chunks"] == [{"chunks": 1, "paths_per_chunk": [300]}]
+    assert sliced.to_csv() == whole.to_csv()
+    assert [r.to_dict() for r in sliced.rows] == [r.to_dict() for r in whole.rows]
+    assert sliced.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
+    per_row = {}
+    for strategy, ledger in calls:
+        per_row.setdefault(id(strategy), []).append(ledger.n_paths)
+    assert len(per_row) == len(sliced.rows) == 4
+    assert all(sizes == [64, 64, 64, 64, 44] for sizes in per_row.values()), per_row
+    for _, ledger in calls:
+        for name in ("wealth", "pre_wealth", "weights", "delta"):
+            assert np.shares_memory(getattr(ledger, name), getattr(calls[0][1], name)), name
+    chunk_grid, slice_grid = 300 * row_bytes, 64 * row_bytes
+    bound = 2 * chunk_grid + 4 * slice_grid + 16 * xl.simulate.BLOCK_BYTES
+    assert peak < bound, (peak / chunk_grid, bound / chunk_grid)
+
+
 def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, config_dict(experiment="vol_sweep", n_paths=300,
                                              sweep_values=[0.0349, 0.0436]))
@@ -387,6 +431,24 @@ def test_cli_json_records_path_chunks(tmp_path, monkeypatch):
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     md = json.loads((out / "vol_sweep.json").read_text())["metadata"]
     assert md["path_chunks"] == 2 * [{"chunks": 3, "paths_per_chunk": [100, 100, 100]}]
+
+
+def test_cli_json_records_effective_horizon(tmp_path):
+    """`simulate` and `sweep` record the horizon each run took, n_steps * dt
+    months, in their JSON metadata: at dt 0.3 a 1-month horizon rounds to 3
+    steps, 0.9 months, and a 2-month one to 7 steps, 2.1 months."""
+    d = config_dict(n_paths=20, horizon=1.0)
+    d["sim"]["dt"] = 0.3
+    out = tmp_path / "out"
+    for command, cfg, want in (
+            ("simulate", d, [3 * 0.3]),
+            ("sweep", {**d, "experiment": "horizon_sweep", "sweep_values": [1.0, 2.0]},
+             [3 * 0.3, 7 * 0.3])):
+        path = write_config(tmp_path, cfg)
+        assert cli_main([command, "--config", path, "--out", str(out), "--format", "json"]) == 0
+        md = json.loads((out / f"{cfg['experiment']}.json").read_text())["metadata"]
+        assert md["effective_horizon_months"] == want
+    assert md["effective_horizon_months"] == pytest.approx([0.9, 2.1])
 
 
 def test_growth_rates_extras_ou():

@@ -58,6 +58,26 @@ def test_chunked_equals_monolithic(benchmark_params):
     assert np.array_equal(whole.x, stitched)
 
 
+@pytest.mark.parametrize("drift", ["ou", "ctmc"])
+def test_bundle_rows_are_the_bundle_drawn_for_them(benchmark_params, ctmc_gentle_params,
+                                                   drift):
+    """`rows(lo, hi)` of a drawn bundle, a slice of a slice included, has
+    the x, y and mu bits, the settings and the identity hash of the bundle
+    drawn for paths lo..hi-1 alone, and views the drawn bundle's grids."""
+    params = benchmark_params if drift == "ou" else ctmc_gentle_params
+    cfg = small_config(n_paths=40)
+    whole = simulate_paths(params, cfg)
+    for lo, hi, part in ((0, 7, whole.rows(0, 7)), (7, 40, whole.rows(7, 40)),
+                         (13, 14, whole.rows(13, 14)), (9, 30, whole.rows(5, 30).rows(4, 99))):
+        drawn = simulate_paths(params, dataclasses.replace(cfg, n_paths=hi - lo),
+                               path_offset=lo)
+        for name in ("x", "y", "mu"):
+            assert getattr(part, name).tobytes() == getattr(drawn, name).tobytes(), name
+            assert np.shares_memory(getattr(part, name), getattr(whole, name)), name
+        assert (part.sim, part.path_offset) == (drawn.sim, lo)
+        assert part.identity_hash() == drawn.identity_hash()
+
+
 def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
     cfg = small_config(n_paths=600)
     for params in (benchmark_params, ctmc_params):
@@ -122,7 +142,7 @@ def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params, monkeyp
     allocates a grid of the bundle."""
     monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = small_config(n_paths=1000, horizon_months=24.0)
-    out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_steps)
+    out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_paths, cfg.n_steps)
     b = simulate_paths(benchmark_params, cfg, out=out)
     block = xl.simulate.BLOCK_BYTES
     tracemalloc.start()
