@@ -49,8 +49,8 @@ SWEEPS = {
 
 # Target bytes per path grid of one chunk of a streamed Monte Carlo run, and
 # the most per grid of one ledger slice. A run holds, allocated once, the
-# X|Y row pair of its largest chunk (two grids, in whose rows the OU fill
-# draws its noise) and four ledger slices (wealth, pre_wealth, weights,
+# X|Y row pair of its largest chunk (two grids, in whose rows the fills
+# draw their noise) and four ledger slices (wealth, pre_wealth, weights,
 # delta) of at most this many bytes each; the fill's tiles and the ledger's
 # row blocks add a few `simulate.BLOCK_BYTES` more. A chunk is floored at
 # `simulate.MIN_BLOCK_PATHS` paths, so a long horizon's chunk can pass this

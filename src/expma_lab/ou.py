@@ -243,26 +243,21 @@ def optimal_c2_coefficients(params: ModelParams, t):
         a2*(t) = (m3 - m1 m2) / (v2 sigma^2),   b2*(t) = m1/sigma^2 - m2 a2*.
 
     At t = 0 the ratio is 0/0; the analytic limits v1(0)/sigma^4 and
-    m1(0)/sigma^2 are returned there. Accepts scalar or array t.
+    m1(0)/sigma^2 are returned there. Accepts scalar or array t; a scalar t
+    gives floats.
     """
-    co = OUCoefficients.from_params(params)
     sig2 = params.sigma**2
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-
-    m = co.moments(t_arr)
-    a = np.empty_like(t_arr)
-    b = np.empty_like(t_arr)
-    at_zero = t_arr == 0.0
-    pos = ~at_zero
-    cov = np.asarray(m.m3)[pos] - np.asarray(m.m1)[pos] * np.asarray(m.m2)[pos]
-    a[pos] = cov / (np.asarray(m.v2)[pos] * sig2)
-    b[pos] = np.asarray(m.m1)[pos] / sig2 - np.asarray(m.m2)[pos] * a[pos]
-    a[at_zero] = params.drift.v1_0 / sig2**2
-    b[at_zero] = params.drift.m1_0 / sig2
-    if scalar:
-        return float(a[0]), float(b[0])
+    t = np.asarray(t, dtype=float)
+    m = OUCoefficients.from_params(params).moments(t)
+    at_zero = t == 0.0
+    # the ratio's 0/0 at t = 0 is discarded by np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_pos = (m.m3 - m.m1 * m.m2) / (m.v2 * sig2)
+        b_pos = m.m1 / sig2 - m.m2 * a_pos
+    a = np.where(at_zero, params.drift.v1_0 / sig2**2, a_pos)
+    b = np.where(at_zero, params.drift.m1_0 / sig2, b_pos)
+    if t.ndim == 0:
+        return float(a), float(b)
     return a, b
 
 

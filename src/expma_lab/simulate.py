@@ -17,15 +17,16 @@ so the block size changes no bit of the result. The ledger's blocks write
 into one set of temporaries allocated once per ledger, so no block
 allocates its own. A bundle is one grid, an X|Y row pair, each row a
 path's X then its Y, and each path's terminal drift: no strategy sees the
-drift, so the fills carry it only as state. The OU fill draws each path's
-noise into its own X|Y row and writes X over the draws it has read, so no
-fill allocates a draws buffer. `simulate_paths` and `run_strategy`
-allocate their grids, or write into the leading rows of caller-owned
-buffers (`out`, see `chunk_buffers`), so a streamed run allocates its
-grids once for all its chunks: the X|Y pair of its largest chunk, and
-four ledger grids of one row slice of a chunk (`PathBundle.rows`) of at
-most `experiments.CHUNK_BYTES` each; every element is written either way,
-and nothing a buffer held before reaches a result.
+drift, so the fills carry it only as state. Both fills draw each path into
+its own X|Y row (the Markov fill its normals into the Y half, which the
+ExpMA overwrites) and form X per block, so no fill allocates a draws
+buffer. `simulate_paths` and `run_strategy` allocate their grids, or write
+into the leading rows of caller-owned buffers (`out`, see `chunk_buffers`),
+so a streamed run allocates its grids once for all its chunks: the X|Y
+pair of its largest chunk, and four ledger grids of one row slice of a
+chunk (`PathBundle.rows`) of at most `experiments.CHUNK_BYTES` each; every
+element is written either way, and nothing a buffer held before reaches a
+result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -65,8 +66,8 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 # one chunk and four ledger slices of at most `experiments.CHUNK_BYTES`, so
 # this bounds the work of a run, not the memory it holds; a single
 # `simulate_paths` call without `out` allocates two grids of this size
-# (~640 MB at the bound): the X|Y row pair, in whose rows the OU fill draws
-# its noise.
+# (~640 MB at the bound): the X|Y row pair, in whose rows the fills draw
+# their noise.
 MAX_ELEMENTS = 40_000_000
 # Bound per Markov-drift run on (alpha + beta) * n_steps * dt * n_paths, at
 # least twice the expected jump count. The jump draw takes about 0.2 us per
@@ -315,32 +316,32 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
                sl: slice, xy, mu) -> None:
     d: CTMC2Drift = params.drift
     n_steps = config.n_steps
-    x = xy[:, :n_steps + 1]
     dt, sig = config.dt, params.sigma
-    sq = math.sqrt(dt)
     horizon = n_steps * dt
     p_high = d.alpha / (d.alpha + d.beta)
     bounds = np.arange(n_steps + 1) * dt
-    zs = np.empty(n_steps)
     state = np.empty(n_steps + 1)
     gather = np.empty((2, n_steps + 1))
+    # a path's drift integral per step goes in its X steps, its step normals
+    # in the last n_steps entries of its Y half, which the ExpMA overwrites
+    steps = xy[sl, 1:n_steps + 1]
+    zs = xy[sl, n_steps + 2:]
 
     rngs = _path_rngs(config.seed, offset + sl.start, sl.stop - sl.start)
-    for row, g in zip(range(sl.start, sl.stop), rngs):
+    for j, g in enumerate(rngs):
         start_high = g.random() < p_high
         jumps = _ctmc_jump_times(g, start_high, d.alpha, d.beta, horizon)
-        g.standard_normal(out=zs)
+        g.standard_normal(out=zs[j])
+        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, state, steps[j], gather)
+        mu[sl.start + j] = state[-1]
 
-        # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
-        steps = x[row, 1:]
-        _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, state, steps, gather)
-        mu[row] = state[-1]
-        steps -= 0.5 * sig**2 * dt
-        zs *= sig * sq
-        steps += zs
-        np.cumsum(steps, out=steps)
-        steps += config.x0
-        x[row, 0] = config.x0
+    # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
+    steps -= 0.5 * sig**2 * dt
+    zs *= sig * math.sqrt(dt)
+    steps += zs
+    np.cumsum(steps, axis=1, out=steps)
+    steps += config.x0
+    xy[sl, 0] = config.x0
 
 
 def check_limits(params: ModelParams, config: SimConfig) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -893,9 +894,13 @@ def test_cli_failing_strategy_exits_before_the_first_draw(tmp_path, monkeypatch)
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, config_dict())
+    # the child imports the checkout's package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CONFIGS.parent / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "expma_lab.cli", "simulate",
                            "--config", cfg, "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

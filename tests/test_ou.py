@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ def test_c2_coefficients_at_zero(benchmark_params):
     a0, b0 = optimal_c2_coefficients(benchmark_params, 0.0)
     assert a0 == pytest.approx(d.v1_0 / benchmark_params.sigma**4, rel=1e-12)
     assert b0 == pytest.approx(d.m1_0 / benchmark_params.sigma**2, rel=1e-12)
+
+
+def test_c2_coefficients_on_an_array_holding_zeros(benchmark_params):
+    """t = 0 among positive times takes the limits, each entry the scalar
+    call's bits, and the discarded 0/0 raises no warning."""
+    t = np.array([0.0, 1.0 / 21.0, 0.0, 24.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        a, b = optimal_c2_coefficients(benchmark_params, t)
+        scalar = [optimal_c2_coefficients(benchmark_params, ti) for ti in t]
+    assert a.shape == b.shape == t.shape
+    assert all(type(v) is float for pair in scalar for v in pair)
+    assert a.tobytes() == np.array([s[0] for s in scalar]).tobytes()
+    assert b.tobytes() == np.array([s[1] for s in scalar]).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

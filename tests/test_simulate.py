@@ -79,6 +79,8 @@ def test_bundle_rows_are_the_bundle_drawn_for_them(benchmark_params, ctmc_gentle
 
 
 def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
+    """Both fills give the same bundle at 1 and 4 workers, and each Y is the
+    ExpMA of its X: no draw the fill left in a Y half survives."""
     cfg = small_config(n_paths=600)
     for params in (benchmark_params, ctmc_params):
         monkeypatch.setenv("EXPMA_THREADS", "1")
@@ -86,7 +88,11 @@ def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
         monkeypatch.setenv("EXPMA_THREADS", "4")
         b4 = simulate_paths(params, cfg)
         assert np.array_equal(b1.x, b4.x)
+        assert np.array_equal(b1.y, b4.y)
         assert b1.mu.shape == (cfg.n_paths,) and np.array_equal(b1.mu, b4.mu)
+        for b in (b1, b4):
+            ref = expma_strided(b.x, params.lam, cfg.dt, np.empty_like(b.x))
+            assert np.array_equal(b.y, ref)
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 8 * 256 * 7, 1 << 40])
