@@ -11,7 +11,6 @@ growth     print/emit the long-run growth-rate table
 signal     turn a date,close price CSV into ExpMA signal and weight series
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
-EXPMA_THREADS sets the simulation worker threads (default 1).
 """
 
 from __future__ import annotations

@@ -54,9 +54,9 @@ SWEEPS = {
 # delta) of at most this many bytes each; the fill's tiles and the ledger's
 # row blocks add a few `simulate.BLOCK_BYTES` more. A chunk is floored at
 # `simulate.MIN_BLOCK_PATHS` paths, so a long horizon's chunk can pass this
-# size, but its ledger slices do not. Smaller chunks hold less but fill
-# narrower blocks, whose time loops pay numpy's per-call overhead at every
-# step.
+# size, but its ledger slices do not. Smaller chunks hold less, but the
+# fill's and the ExpMA's time loops pay numpy's per-call overhead at every
+# step of every chunk.
 CHUNK_BYTES = 4 * 1024 * 1024
 
 CSV_COLUMNS = ("experiment", "strategy", "sweep_param", "sweep_value",

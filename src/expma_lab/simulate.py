@@ -9,17 +9,17 @@ Path generation follows the daily discretization
 with the Markov drift simulated by exact exponential holding times and the
 X increment integrating the piecewise-constant drift exactly across jumps
 inside a step. Every path draws from its own counter-based substream keyed
-(seed, path index), so ensembles are bit-identical for any chunking or
-worker count. The OU and ExpMA recursions run on time-major tiles and the
-wealth ledger on blocks of paths, each of their arrays about BLOCK_BYTES so
-that it stays in cache; every operation is elementwise or along one path,
-so the block size changes no bit of the result. The ledger's blocks write
+(seed, path index), so ensembles are bit-identical for any chunking. The
+OU and ExpMA recursions run on time-major tiles and the wealth ledger on
+blocks of paths, each of their arrays about BLOCK_BYTES so that it stays
+in cache; every operation is elementwise or along one path, so the block
+size changes no bit of the result. The ledger's blocks write
 into one set of temporaries allocated once per ledger, so no block
 allocates its own. A bundle is one grid, an X|Y row pair, each row a
 path's X then its Y, and each path's terminal drift: no strategy sees the
 drift, so the fills carry it only as state. Both fills draw each path into
 its own X|Y row (the Markov fill its normals into the Y half, which the
-ExpMA overwrites) and form X per block, so no fill allocates a draws
+ExpMA overwrites) and form X in place, so no fill allocates a draws
 buffer. `simulate_paths` and `run_strategy` allocate their grids, or write
 into the leading rows of caller-owned buffers (`out`, see `chunk_buffers`),
 so a streamed run allocates its grids once for all its chunks: the X|Y
@@ -50,14 +50,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConfigError, LeverageCostSingularityError,
-                     ResourceLimitError, ValidationError)
+from .errors import LeverageCostSingularityError, ResourceLimitError, ValidationError
 from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
                      Strategy)
 
@@ -79,9 +76,9 @@ MAX_JUMPS = 10_000_000
 # (`_tile_steps`), small enough for a ledger block's dozen temporaries to
 # stay in cache.
 BLOCK_BYTES = 256 * 1024
-# Fewest paths in a fill block of `simulate_paths` or in a run's path chunk
-# (`path_slices`): the OU and ExpMA time loops pay numpy's per-call overhead
-# once per step per block, so narrower blocks cost time.
+# Fewest paths in a run's path chunk (`path_slices`): the OU and ExpMA time
+# loops pay numpy's per-call overhead once per step per chunk, so narrower
+# chunks cost time.
 MIN_BLOCK_PATHS = 256
 
 
@@ -202,22 +199,21 @@ def _path_rngs(seed: int, first: int, count: int):
         yield g
 
 
-def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
-             sl: slice, xy, mu) -> None:
+def _fill_ou(params: ModelParams, config: SimConfig, offset: int, xy, mu) -> None:
     d: OUDrift = params.drift
     n_steps = config.n_steps
-    m = sl.stop - sl.start
-    x = xy[sl, :n_steps + 1]
+    m = xy.shape[0]
+    x = xy[:, :n_steps + 1]
     # path j draws mu_0, then (z, zbar) for each step, in that order, into the
     # leading 1 + 2 n_steps entries of its own X|Y row
-    draws = xy[sl, :1 + 2 * n_steps]
-    for row, g in zip(draws, _path_rngs(config.seed, offset + sl.start, m)):
+    draws = xy[:, :1 + 2 * n_steps]
+    for row, g in zip(draws, _path_rngs(config.seed, offset, m)):
         g.standard_normal(out=row)
 
     dt, sig = config.dt, params.sigma
     sq = math.sqrt(dt)
     half_var = 0.5 * sig**2
-    # the recursion runs on time-major tiles of the block, so every step reads
+    # the recursion runs on time-major tiles of the paths, so every step reads
     # and writes contiguous rows; row 0 of a tile carries the previous step
     tile = _tile_steps(m, n_steps)
     x_t = np.empty((tile + 1, m))
@@ -257,7 +253,7 @@ def _fill_ou(params: ModelParams, config: SimConfig, offset: int,
             np.add(mn, zs[2 * i + 1], out=mn)
         x[:, lo + 1:lo + k + 1] = x_t[1:k + 1].T
         x_t[0], mu_t[0] = x_t[k], mu_t[k]
-    mu[sl] = mu_t[0]
+    mu[:] = mu_t[0]
 
 
 def _ctmc_jump_times(g: np.random.Generator, start_high: bool,
@@ -312,8 +308,7 @@ def _ctmc_drift(jumps: np.ndarray, start_high: bool, rho1: float, rho2: float,
     return k
 
 
-def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
-               sl: slice, xy, mu) -> None:
+def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int, xy, mu) -> None:
     d: CTMC2Drift = params.drift
     n_steps = config.n_steps
     dt, sig = config.dt, params.sigma
@@ -324,16 +319,15 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     gather = np.empty((2, n_steps + 1))
     # a path's drift integral per step goes in its X steps, its step normals
     # in the last n_steps entries of its Y half, which the ExpMA overwrites
-    steps = xy[sl, 1:n_steps + 1]
-    zs = xy[sl, n_steps + 2:]
+    steps = xy[:, 1:n_steps + 1]
+    zs = xy[:, n_steps + 2:]
 
-    rngs = _path_rngs(config.seed, offset + sl.start, sl.stop - sl.start)
-    for j, g in enumerate(rngs):
+    for j, g in enumerate(_path_rngs(config.seed, offset, xy.shape[0])):
         start_high = g.random() < p_high
         jumps = _ctmc_jump_times(g, start_high, d.alpha, d.beta, horizon)
         g.standard_normal(out=zs[j])
         _ctmc_drift(jumps, start_high, d.rho1, d.rho2, bounds, state, steps[j], gather)
-        mu[sl.start + j] = state[-1]
+        mu[j] = state[-1]
 
     # X_{i+1} = x0 + sum of (drift increment - sig^2 dt / 2 + sig sqrt(dt) z)
     steps -= 0.5 * sig**2 * dt
@@ -341,7 +335,7 @@ def _fill_ctmc(params: ModelParams, config: SimConfig, offset: int,
     steps += zs
     np.cumsum(steps, axis=1, out=steps)
     steps += config.x0
-    xy[sl, 0] = config.x0
+    xy[:, 0] = config.x0
 
 
 def check_limits(params: ModelParams, config: SimConfig) -> None:
@@ -404,28 +398,18 @@ def simulate_paths(params: ModelParams, config: SimConfig,
     is one grid, an X|Y row pair xy, whose left half is X and right half is
     Y, and each path's terminal drift mu. With `out`, an xy buffer
     (`chunk_buffers`), the grid is its leading rows; every element of them
-    is written. EXPMA_THREADS (default 1) sets the threads; the fill of one
-    balanced path block per thread draws each path's noise into its xy row
-    and forms X over it, then one ExpMA pass per block forms its Y.
+    is written. The fill draws each path's noise into its xy row and forms
+    X over it, then one ExpMA pass forms Y.
     """
     check_limits(params, config)
-    raw = os.environ.get("EXPMA_THREADS", "1") or "1"
-    try:
-        workers = max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"EXPMA_THREADS must be an integer, got {raw!r}") from exc
 
     width = config.n_steps + 1
     (xy,) = _grids(None if out is None else (out,), config.n_paths, (2 * width,))
     mu = np.empty(config.n_paths)
     x, y = xy[:, :width], xy[:, width:]
     fill = _fill_ou if params.is_ou else _fill_ctmc
-
-    blocks = path_slices(config.n_paths, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda sl: fill(params, config, path_offset, sl, xy, mu), blocks))
-        list(pool.map(lambda sl: expma(x[sl], params.lam, config.dt, out=y[sl]), blocks))
-
+    fill(params, config, path_offset, xy, mu)
+    expma(x, params.lam, config.dt, out=y)
     return PathBundle(x=x, y=y, mu=mu, params=params, sim=config, path_offset=path_offset)
 
 

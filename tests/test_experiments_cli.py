@@ -225,12 +225,11 @@ STREAMED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, threads", [*((c, "1") for c in STREAMED_CASES),
-                                           ("markov_performance", "2")])
-def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case, threads):
+# the ids keep the "-1" of the thread count these cases once also ran at
+@pytest.mark.parametrize("case", STREAMED_CASES, ids=lambda c: f"{c}-1")
+def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case):
     """A run cut into path chunks reports the rows and bundle hashes of the
     same run in one chunk, bit for bit."""
-    monkeypatch.setenv("EXPMA_THREADS", threads)
     cfg = ExperimentConfig.from_dict(STREAMED_CASES[case])
     whole = run_experiment(cfg)
     chunk_paths(monkeypatch, 100, cfg.sim.n_steps)
@@ -251,8 +250,8 @@ def test_streamed_run_matches_one_chunk_bitwise(monkeypatch, case, threads):
 @st.composite
 def sized_runs(draw):
     """A small OU or Markov panel, lambda sweep or cost sweep, and a value
-    for every size constant (the chunk in paths, the cache block in bytes)
-    and for EXPMA_THREADS."""
+    for every size constant (the chunk in paths, its floor, the cache block
+    in bytes)."""
     experiment = draw(st.sampled_from(["performance", "lambda_sweep", "cost_sweep"]))
     make = markov_config if draw(st.booleans()) else config_dict
     kw = {"performance": {},
@@ -266,8 +265,7 @@ def sized_runs(draw):
              "MIN_BLOCK_PATHS": draw(st.integers(1, 64)),
              # log-uniform from one float (1-path ledger blocks, 1-step
              # tiles) to 32 KB (ledger blocks of 95 or more paths)
-             "BLOCK_BYTES": int(2 ** draw(st.floats(3.0, 15.0))),
-             "threads": draw(st.sampled_from(["1", "2"]))}
+             "BLOCK_BYTES": int(2 ** draw(st.floats(3.0, 15.0)))}
     return d, sizes
 
 
@@ -277,7 +275,7 @@ def _bankrupting_markov_panel():
     d = markov_config(n_paths=60, horizon=2.0)
     d["params"]["sigma"] = 0.08
     return d, {"chunk_paths": 7, "MIN_BLOCK_PATHS": 2,
-               "BLOCK_BYTES": 3 * 8 * (42 + 1), "threads": "2"}
+               "BLOCK_BYTES": 3 * 8 * (42 + 1)}
 
 
 @settings(max_examples=50, deadline=10_000)
@@ -285,18 +283,16 @@ def _bankrupting_markov_panel():
 @given(case=sized_runs())
 def test_no_size_constant_changes_a_report_bit(case):
     """The report CSV, the JSON rows and the bundle hashes of a run are
-    those of the same run at the default sizes, whatever the chunk, fill
-    block, ledger block and tile sizes and the thread count."""
+    those of the same run at the default sizes, whatever the chunk, chunk
+    floor, ledger block and tile sizes."""
     d, sizes = case
     cfg = ExperimentConfig.from_dict(d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EXPMA_THREADS", "1")
         whole = run_experiment(cfg)
         row_bytes = 8 * (cfg.sim.n_steps + 1)
         mp.setattr(xl.experiments, "CHUNK_BYTES", sizes["chunk_paths"] * row_bytes)
         mp.setattr(xl.simulate, "MIN_BLOCK_PATHS", sizes["MIN_BLOCK_PATHS"])
         mp.setattr(xl.simulate, "BLOCK_BYTES", sizes["BLOCK_BYTES"])
-        mp.setenv("EXPMA_THREADS", sizes["threads"])
         sized = run_experiment(cfg)
     assert sized.to_csv() == whole.to_csv()
     assert [r.to_dict() for r in sized.rows] == [r.to_dict() for r in whole.rows]
@@ -337,7 +333,6 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     pair, which holds the fill's draws) and one ledger's four. (The fill
     tiles are bounded by BLOCK_BYTES, not by the chunk: at the default they
     hold 127-128 of the 504 days here.)"""
-    monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = ExperimentConfig.from_dict(config_dict(
         experiment="cost_sweep", n_paths=770, horizon=24.0, sweep_values=[0.0, 0.001]))
     whole = run_experiment(cfg)
@@ -385,7 +380,6 @@ def test_long_row_ledgers_run_on_chunk_bytes_slices(monkeypatch):
     and bundle hashes of the default run. Its traced peak is about the
     chunk's two X|Y grids plus four slice grids, where a ledger as tall as
     the chunk holds six chunk grids."""
-    monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = ExperimentConfig.from_dict(markov_config(n_paths=300, horizon=120.0))
     whole = run_experiment(cfg)
     row_bytes = 8 * (cfg.sim.n_steps + 1)
@@ -854,13 +848,6 @@ def test_cli_signal_rejects_bad_or_missing_close(tmp_path, capsys, row):
     assert "is not a number" in capsys.readouterr().err
 
 
-def test_cli_non_integer_threads_is_config_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, config_dict(n_paths=20))
-    monkeypatch.setenv("EXPMA_THREADS", "two")
-    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "EXPMA_THREADS" in capsys.readouterr().err
-
-
 def test_cli_numeric_exit_code(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, config_dict(experiment="growth_rates"))
 
@@ -904,13 +891,31 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _simulate_csv(tmp_path, cfg, name):
+    out = tmp_path / name
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return (out / "performance.csv").read_text()
+
+
 def test_threads_env_var_bitwise_identical(tmp_path, monkeypatch):
-    cfg_d = ExperimentConfig.from_dict(config_dict(n_paths=500))
-    monkeypatch.setenv("EXPMA_THREADS", "1")
-    a = run_experiment(cfg_d).to_csv()
+    """EXPMA_THREADS, once the simulation's thread count, is read no more:
+    set to a number, `simulate` writes the CSV it writes with the variable
+    unset."""
+    cfg = write_config(tmp_path, config_dict(n_paths=500))
+    monkeypatch.delenv("EXPMA_THREADS", raising=False)
+    unset = _simulate_csv(tmp_path, cfg, "unset")
     monkeypatch.setenv("EXPMA_THREADS", "3")
-    b = run_experiment(cfg_d).to_csv()
-    assert a == b
+    assert _simulate_csv(tmp_path, cfg, "three") == unset
+
+
+def test_cli_non_integer_threads_is_ignored(tmp_path, monkeypatch):
+    """A word in EXPMA_THREADS is no config error: `simulate` exits 0 with
+    the CSV it writes with the variable unset."""
+    cfg = write_config(tmp_path, config_dict(n_paths=20))
+    monkeypatch.delenv("EXPMA_THREADS", raising=False)
+    unset = _simulate_csv(tmp_path, cfg, "unset")
+    monkeypatch.setenv("EXPMA_THREADS", "two")
+    assert _simulate_csv(tmp_path, cfg, "two") == unset
 
 
 # At kappa = 1e-4, lambda = 0.01 the slope a2*(t) is still far from a_inf

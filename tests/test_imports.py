@@ -1,9 +1,11 @@
-"""Import contract: no CLI subcommand loads scipy.
+"""Import contract: no CLI subcommand loads scipy or concurrent.futures.
 
 scipy takes longer to import than most CLI calls take to run. `expma_lab`
 imports it only inside functions no subcommand calls (`ou.value_functions`
-and the closed-form Beta c.d.f.s of `regime_filter`). Each check runs in a
-fresh interpreter, because the test process has scipy loaded already.
+and the closed-form Beta c.d.f.s of `regime_filter`). Path generation runs
+on one thread, so no call pays for importing concurrent.futures either.
+Each check runs in a fresh interpreter, because the test process has scipy
+loaded already.
 """
 
 import json
@@ -19,18 +21,20 @@ CONFIGS = ROOT / "configs"
 
 # Runs `cli.main` on each argv of argv[1] (a JSON list) after `import
 # expma_lab.cli`, and writes the scipy modules loaded after the import and
-# after each call to the file argv[2].
+# the scipy and concurrent.futures modules loaded after each call to the
+# file argv[2].
 CHILD = """
 import json, sys
 import expma_lab.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
-report = {"import": scipy_modules(), "runs": []}
+report = {"import": modules("scipy"), "runs": []}
 for argv in json.loads(sys.argv[1]):
     rc = expma_lab.cli.main(argv)
-    report["runs"].append({"argv": argv, "rc": rc, "scipy": scipy_modules()})
+    report["runs"].append({"argv": argv, "rc": rc, "scipy": modules("scipy"),
+                           "futures": modules("concurrent.futures")})
 with open(sys.argv[2], "w") as fh:
     json.dump(report, fh)
 """
@@ -89,6 +93,7 @@ def test_commands_without_scipy_numerics_load_no_scipy(tmp_path):
     assert [run["rc"] for run in report["runs"]] == [0] * len(argvs)
     for run in report["runs"]:
         assert run["scipy"] == [], run["argv"]
+        assert run["futures"] == [], run["argv"]
 
 
 # The Markov drift's stationary filter and long-run growth take their

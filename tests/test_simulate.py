@@ -78,21 +78,15 @@ def test_bundle_rows_are_the_bundle_drawn_for_them(benchmark_params, ctmc_gentle
         assert part.identity_hash() == drawn.identity_hash()
 
 
-def test_worker_count_irrelevant(benchmark_params, ctmc_params, monkeypatch):
-    """Both fills give the same bundle at 1 and 4 workers, and each Y is the
-    ExpMA of its X: no draw the fill left in a Y half survives."""
+def test_each_fill_leaves_y_the_expma_of_x(benchmark_params, ctmc_params):
+    """For both fills, each Y is the ExpMA of its X: no draw the fill left in
+    a Y half survives."""
     cfg = small_config(n_paths=600)
     for params in (benchmark_params, ctmc_params):
-        monkeypatch.setenv("EXPMA_THREADS", "1")
-        b1 = simulate_paths(params, cfg)
-        monkeypatch.setenv("EXPMA_THREADS", "4")
-        b4 = simulate_paths(params, cfg)
-        assert np.array_equal(b1.x, b4.x)
-        assert np.array_equal(b1.y, b4.y)
-        assert b1.mu.shape == (cfg.n_paths,) and np.array_equal(b1.mu, b4.mu)
-        for b in (b1, b4):
-            ref = expma_strided(b.x, params.lam, cfg.dt, np.empty_like(b.x))
-            assert np.array_equal(b.y, ref)
+        b = simulate_paths(params, cfg)
+        assert b.mu.shape == (cfg.n_paths,)
+        ref = expma_strided(b.x, params.lam, cfg.dt, np.empty_like(b.x))
+        assert np.array_equal(b.y, ref)
 
 
 @pytest.mark.parametrize("tile_bytes", [1, 8 * 256 * 7, 1 << 40])
@@ -140,13 +134,12 @@ def test_expma_matches_strided_recursion(benchmark_params, long_markov_x, monkey
             assert np.isnan(np.delete(out, np.arange(x.shape[0])[rows], axis=0)).all()
 
 
-def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params, monkeypatch):
+def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params):
     """On a 1,000 x 504 OU bundle written into `out` buffers, `expma`
     allocates its one tile array, about one BLOCK_BYTES, and `simulate_paths`
     the fill's x, mu and two-row noise tiles, about four blocks, and a little
     more: the fill draws its noise into the bundle's X|Y rows, so neither
     allocates a grid of the bundle."""
-    monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = small_config(n_paths=1000, horizon_months=24.0)
     out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_paths, cfg.n_steps)
     b = simulate_paths(benchmark_params, cfg, out=out)
@@ -164,12 +157,11 @@ def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params, monkeyp
     assert fill_peak < 6 * block, fill_peak / block
 
 
-def test_ou_call_without_out_holds_about_its_two_grids(benchmark_params, monkeypatch):
+def test_ou_call_without_out_holds_about_its_two_grids(benchmark_params):
     """An OU `simulate_paths` call without `out` at 2,000 x 505 allocates
     its X|Y row pair, two grids, and draws its noise into the X|Y rows: its
     traced peak stays under 2.5 grids, with no drift grid and no draws
     buffer on top."""
-    monkeypatch.setenv("EXPMA_THREADS", "1")
     cfg = small_config(n_paths=2000, horizon_months=24.0)
     grid = 8 * cfg.n_paths * (cfg.n_steps + 1)
     assert cfg.n_steps + 1 == 505
