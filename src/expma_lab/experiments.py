@@ -4,16 +4,17 @@ tables, transport-grid exports, and the price-file signal pipeline.
 Every simulation experiment runs all of its strategies on the same paths
 (common random numbers), streamed over path chunks of about CHUNK_BYTES per
 grid: each chunk is drawn once, and every strategy's ledger on it runs on
-row slices of at most CHUNK_BYTES per grid, each reduced to per-path
-statistics. A run allocates its buffers once, the X|Y row pair (two grids)
-of its largest chunk and one ledger (four grids) of one slice, and every
-chunk and ledger is written into their leading rows, so a run's memory is
-bounded by the X|Y pair of the largest chunk plus four ledger slices of at
-most CHUNK_BYTES, not by `n_paths`. The chunking changes no bit of any
-report value. The report metadata records each run's bundle identity hash,
-path chunks and effective horizon, and every run is byte-reproducible from
-(config, seed): the CSV output carries no timestamp (the JSON metadata
-does).
+row slices of one ledger row block (`simulate.block_rows`), each reduced to
+per-path statistics. A run allocates its buffers once, the X|Y row pair
+(two grids) of its largest chunk and the ledger buffers of one slice (four
+grids of one block, the block's temporaries, in which the statistics form
+their daily returns too, and the rebalancing days), and every chunk and
+ledger is written into them, so a run's memory is bounded by the X|Y pair
+of the largest chunk plus a few blocks, not by `n_paths`. The chunking
+changes no bit of any report value. The report metadata records each
+run's bundle identity hash, path chunks and effective horizon, and every
+run is byte-reproducible from (config, seed): the CSV output carries no
+timestamp (the JSON metadata does).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from . import ctmc as ctmc_mod
 from . import ou as ou_mod
@@ -35,8 +38,8 @@ from .errors import ConfigError, ValidationError
 from .metrics import MetricsReport, PathStats, compute_metrics, path_stats
 from .models import (BuyAndHold, ConstantAffine, ModelParams, SimConfig,
                      Strategy, TimeVaryingAffine, _number, _whole)
-from .simulate import (BundleHash, check_limits, chunk_buffers, expma, path_slices,
-                       run_strategy, simulate_paths)
+from .simulate import (BundleHash, block_rows, check_limits, chunk_buffers, expma,
+                       path_slices, run_strategy, simulate_paths)
 
 # sweep experiment -> (swept parameter, the (params, sim) run at sweep value v)
 SWEEPS = {
@@ -47,14 +50,12 @@ SWEEPS = {
     "cost_sweep": ("omega", lambda c, v: (c.params, replace(c.sim, omega=v))),
 }
 
-# Target bytes per path grid of one chunk of a streamed Monte Carlo run, and
-# the most per grid of one ledger slice. A run holds, allocated once, the
-# X|Y row pair of its largest chunk (two grids, in whose rows the fills
-# draw their noise) and four ledger slices (wealth, pre_wealth, weights,
-# delta) of at most this many bytes each; the fill's tiles and the ledger's
-# row blocks add a few `simulate.BLOCK_BYTES` more. A chunk is floored at
-# `simulate.MIN_BLOCK_PATHS` paths, so a long horizon's chunk can pass this
-# size, but its ledger slices do not. Smaller chunks hold less, but the
+# Target bytes per path grid of one chunk of a streamed Monte Carlo run. A
+# run holds, allocated once, the X|Y row pair of its largest chunk (two
+# grids, in whose rows the fills draw their noise); the fill's tiles and
+# the ledger buffers of one row block add a few `simulate.BLOCK_BYTES`
+# more. A chunk is floored at `simulate.MIN_BLOCK_PATHS` paths, so a long
+# horizon's chunk can pass this size. Smaller chunks hold less, but the
 # fill's and the ExpMA's time loops pay numpy's per-call overhead at every
 # step of every chunk.
 CHUNK_BYTES = 4 * 1024 * 1024
@@ -242,7 +243,7 @@ def build_strategies(params: ModelParams, T: float) -> list[tuple[str, Strategy]
     the Markov drift."""
     if params.is_ou:
         a1, b1 = ou_mod.optimal_utility_affine(params, T, benchmark_c=True)
-        c2 = partial(ou_mod.optimal_c2_coefficients, params)
+        c2 = _LastDays(partial(ou_mod.optimal_c2_coefficients, params))
         return [
             ("utility_c1", ConstantAffine(a1, b1)),
             ("utility_c2", TimeVaryingAffine(c2)),
@@ -256,6 +257,23 @@ def build_strategies(params: ModelParams, T: float) -> list[tuple[str, Strategy]
         ("filter", regime_filter.filter_strategy(params)),
         ("buy_hold", BuyAndHold()),
     ]
+
+
+class _LastDays:
+    """A coefficient evaluator that keeps its last days and their
+    coefficients: a ledger passes each of its row blocks the same days, so
+    a run evaluates them once, not once per block. The strategy holding it
+    stays an immutable value; only this cache changes."""
+
+    def __init__(self, coefficients):
+        self._coefficients = coefficients
+        self._last = None  # (t, coefficients(t))
+
+    def __call__(self, t):
+        last = self._last
+        if last is None or not np.array_equal(last[0], t):
+            last = self._last = (np.array(t, dtype=float), self._coefficients(t))
+        return last[1]
 
 
 def _growth_strategy(params: ModelParams) -> ConstantAffine:
@@ -323,10 +341,10 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     before it draws. Each path chunk is drawn once into the group's X|Y
     buffer (a later run of the group forms its Y from the chunk's X in the
     chunk's Y buffer). Every row of every run then writes its ledger on
-    consecutive row slices of the chunk, of at most CHUNK_BYTES per grid,
-    into the group's ledger buffers and reduces each to per-path
-    statistics: common random numbers hold, and memory is bounded by the
-    X|Y pair of the largest chunk plus four ledger slices. Per-path
+    consecutive row slices of the chunk, one ledger row block each, into
+    the group's ledger buffers and reduces each to per-path statistics in
+    the same buffers: common random numbers hold, and memory is bounded by
+    the X|Y pair of the largest chunk plus a few blocks. Per-path
     substreams, row-local ledgers and statistics and one hash fed the
     chunks in order give every report value and bundle hash the bits of one
     unchunked run.
@@ -336,13 +354,13 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
     per_chunk = max(1, CHUNK_BYTES // (8 * (s0.n_steps + 1)))
     chunks = path_slices(n, -(-n // per_chunk))
     bundle_hash = BundleHash(p0, s0)
-    # each run's rows, each with the per-path statistics of every ledger slice
+    # each run's rows, each with the per-path statistics of every chunk
     cells = [[(*row, []) for row in _run_rows(config, p, s, v)] for v, p, s in group]
     # the ledger has no time loop, so unlike a chunk its slices are not
-    # floored at MIN_BLOCK_PATHS paths
+    # floored at MIN_BLOCK_PATHS paths: each is one ledger row block
     sizes = [sl.stop - sl.start for sl in chunks]
-    ledger_rows = min(per_chunk, max(sizes))
-    xy, ledger_out = chunk_buffers(max(sizes), ledger_rows, s0.n_steps)
+    ledger_rows = min(block_rows(s0.n_steps), max(sizes))
+    xy, buffers = chunk_buffers(max(sizes), ledger_rows, s0)
     for sl in chunks:
         chunk = simulate_paths(p0, replace(s0, n_paths=sl.stop - sl.start),
                                path_offset=sl.start, out=xy)
@@ -350,11 +368,16 @@ def _run_streamed(config: ExperimentConfig, group: list, param_name: str,
         for i, ((_, p, s), cell) in enumerate(zip(group, cells)):
             if i:
                 chunk = replace(chunk, params=p, y=expma(chunk.x, p.lam, s.dt, out=chunk.y))
+            sliced = [[] for _ in cell]
             for lo in range(0, chunk.n_paths, ledger_rows):
                 part = chunk.rows(lo, lo + ledger_rows)
                 # each ledger goes into its statistics before the next overwrites it
-                for _, strat, omega, _, parts in cell:
-                    parts.append(path_stats(run_strategy(part, strat, omega, out=ledger_out)))
+                for (_, strat, omega, _, _), stats in zip(cell, sliced):
+                    ledger = run_strategy(part, strat, omega, out=buffers)
+                    stats.append(path_stats(ledger, out=buffers))
+            # one set of statistics per row and chunk, not per slice
+            for (*_, parts), stats in zip(cell, sliced):
+                parts.append(PathStats.concat(stats))
     rows = []
     for cell in cells:
         md["bundle_hashes"].append(bundle_hash.hexdigest())
@@ -420,8 +443,6 @@ def _run_pde(config: ExperimentConfig, md: dict) -> ReportSet:
 
 
 def _run_signal(config: ExperimentConfig, md: dict) -> ReportSet:
-    import numpy as np
-
     path = os.path.join(config.input_dir, config.signal_input)
     if not os.path.exists(path):
         raise ConfigError(f"signal input file not found: {path}")

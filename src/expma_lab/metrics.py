@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .simulate import WealthLedger, block_rows
+from .simulate import LedgerBuffers, WealthLedger, block_rows
 
 
 @dataclass(frozen=True)
@@ -82,25 +82,40 @@ class PathStats:
                    n_steps=first.n_steps, dt=first.dt, pi0=first.pi0)
 
 
-def path_stats(ledger: WealthLedger) -> PathStats:
+def path_stats(ledger: WealthLedger, *, out: LedgerBuffers | None = None) -> PathStats:
     """The row-local stage of `compute_metrics`, formed on views of every
-    ledger row; the result holds no view of the ledger."""
+    ledger row; the result holds no view of the ledger. Each row block's
+    daily returns are formed in the leading rows of `out.work` (`out` may be
+    the buffers the ledger was written into); without `out` the call
+    allocates its own block.
+
+    A row's mean and sample std are numpy's `r.mean()` and `r.std(ddof=1)`
+    to the bit, formed with their operations in their order: one pairwise
+    sum of the row, divided by S; the row less its mean, squared, summed
+    the same way, divided by S - 1, and its square root."""
     n, S = ledger.n_paths, ledger.n_steps
     if n == 0 or S == 0:
         raise ValidationError([("ledger", "empty_ledger", "ledger has no paths or steps")])
+    daily = np.empty((min(block_rows(S), n), S)) if out is None else out.work
+    if daily.shape[1] != S:
+        raise ValueError(f"out must be LedgerBuffers of {S} days")
 
     means = np.empty(n)
     stds = np.zeros(n)  # a one-day row has no sample std and adds no spread
-    rows = min(block_rows(S), n)
-    daily = np.empty((rows, S))
+    rows = daily.shape[0]
     for lo in range(0, n, rows):
-        b = slice(lo, lo + rows)
-        w = ledger.wealth[b]
-        r = np.divide(w[:, 1:], w[:, :-1], out=daily[:w.shape[0]])
+        w = ledger.wealth[lo:lo + rows]
+        k = w.shape[0]
+        r = np.divide(w[:, 1:], w[:, :-1], out=daily[:k])
         r -= 1.0
-        means[b] = r.mean(axis=1)
+        mean = np.add.reduce(r, axis=1, out=means[lo:lo + k])
+        np.true_divide(mean, S, out=mean)
         if S > 1:
-            stds[b] = r.std(axis=1, ddof=1)
+            np.subtract(r, mean[:, None], out=r)
+            np.square(r, out=r)
+            std = np.add.reduce(r, axis=1, out=stds[lo:lo + k])
+            np.true_divide(std, S - 1, out=std)
+            np.sqrt(std, out=std)
     ok = ~ledger.bankrupt  # every statistic is row-local, so the pooled rows are picked last
     return PathStats(terminal=ledger.wealth[:, -1].copy(), bankrupt=ledger.bankrupt.copy(),
                      means=means[ok], stds=stds[ok], n_steps=S, dt=ledger.dt, pi0=ledger.pi0)

@@ -13,20 +13,21 @@ inside a step. Every path draws from its own counter-based substream keyed
 OU and ExpMA recursions run on time-major tiles and the wealth ledger on
 blocks of paths, each of their arrays about BLOCK_BYTES so that it stays
 in cache; every operation is elementwise or along one path, so the block
-size changes no bit of the result. The ledger's blocks write
-into one set of temporaries allocated once per ledger, so no block
-allocates its own. A bundle is one grid, an X|Y row pair, each row a
+size changes no bit of the result. A ledger block forms its growth
+factors and unit share changes in its own pre_wealth and delta rows and
+its other temporaries in the block arrays of a `LedgerBuffers`, so no
+block allocates its own. A bundle is one grid, an X|Y row pair, each row a
 path's X then its Y, and each path's terminal drift: no strategy sees the
 drift, so the fills carry it only as state. Both fills draw each path into
 its own X|Y row (the Markov fill its normals into the Y half, which the
 ExpMA overwrites) and form X in place, so no fill allocates a draws
-buffer. `simulate_paths` and `run_strategy` allocate their grids, or write
-into the leading rows of caller-owned buffers (`out`, see `chunk_buffers`),
-so a streamed run allocates its grids once for all its chunks: the X|Y
-pair of its largest chunk, and four ledger grids of one row slice of a
-chunk (`PathBundle.rows`) of at most `experiments.CHUNK_BYTES` each; every
-element is written either way, and nothing a buffer held before reaches a
-result.
+buffer. `simulate_paths` and `run_strategy` write into caller-owned
+buffers (`out`, see `chunk_buffers`) or allocate their own, so a streamed
+run allocates its buffers once for all its chunks: the X|Y pair of its
+largest chunk, and the `LedgerBuffers` of one ledger row block, which its
+ledgers run on one row slice of a chunk (`PathBundle.rows`) at a time;
+every element is written either way, and nothing a buffer held before
+reaches a result.
 
 Wealth accounting mirrors a daily rebalancing desk: the portfolio carries
 weight f_i over [i, i+1); after the price move the new target weight is
@@ -60,8 +61,8 @@ from .models import (BuyAndHold, CTMC2Drift, ModelParams, OUDrift, SimConfig,
 
 # Bound on a run's path grid, n_paths * (n_steps + 1), checked (`check_limits`)
 # before its first path chunk is drawn. A streamed run holds the X|Y pair of
-# one chunk and four ledger slices of at most `experiments.CHUNK_BYTES`, so
-# this bounds the work of a run, not the memory it holds; a single
+# one chunk and the ledger buffers of one row block, so this bounds the
+# work of a run, not the memory it holds; a single
 # `simulate_paths` call without `out` allocates two grids of this size
 # (~640 MB at the bound): the X|Y row pair, in whose rows the fills draw
 # their noise.
@@ -72,9 +73,9 @@ MAX_ELEMENTS = 40_000_000
 # about 2 s of drawing.
 MAX_JUMPS = 10_000_000
 # Target bytes per array of one cache block of the hot path: a ledger or
-# `metrics.path_stats` row block (`block_rows`) and an OU or ExpMA tile
-# (`_tile_steps`), small enough for a ledger block's dozen temporaries to
-# stay in cache.
+# `metrics.path_stats` row block (`block_rows`), which is also a streamed
+# run's ledger slice, and an OU or ExpMA tile (`_tile_steps`), small enough
+# for a ledger block's arrays to stay in cache.
 BLOCK_BYTES = 256 * 1024
 # Fewest paths in a run's path chunk (`path_slices`): the OU and ExpMA time
 # loops pay numpy's per-call overhead once per step per chunk, so narrower
@@ -112,9 +113,8 @@ class PathBundle:
         """Paths lo..hi-1 as row views: the bundle `simulate_paths` draws for
         them at `path_offset + lo`."""
         x = self.x[lo:hi]
-        return replace(self, x=x, y=self.y[lo:hi], mu=self.mu[lo:hi],
-                       sim=replace(self.sim, n_paths=x.shape[0]),
-                       path_offset=self.path_offset + lo)
+        return PathBundle(x, self.y[lo:hi], self.mu[lo:hi], self.params,
+                          replace(self.sim, n_paths=x.shape[0]), self.path_offset + lo)
 
     def identity_hash(self) -> str:
         h = BundleHash(self.params, self.sim, self.path_offset)
@@ -378,15 +378,15 @@ def _grids(out, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     return [b[:rows] for b in out]
 
 
-def chunk_buffers(rows: int, ledger_rows: int, n_steps: int) -> tuple[np.ndarray, list]:
-    """The `out` buffers of a streamed run of `n_steps` steps: the X|Y grid
-    xy of `simulate_paths` for chunks of up to `rows` paths, each row a
-    path's X then its Y, and the (wealth, pre_wealth, weights, delta) of
-    `run_strategy` for ledgers of up to `ledger_rows` paths, which a run
-    writes one row slice of its chunk at a time (`PathBundle.rows`)."""
-    S = n_steps
-    return (np.empty((rows, 2 * (S + 1))),
-            _grids(None, ledger_rows, (S + 1, S, S, S + 1)))
+def chunk_buffers(rows: int, ledger_rows: int,
+                  sim: SimConfig) -> tuple[np.ndarray, LedgerBuffers]:
+    """The `out` buffers of a streamed run of `sim`'s steps: the X|Y grid xy
+    of `simulate_paths` for chunks of up to `rows` paths, each row a path's X
+    then its Y, and the `LedgerBuffers` of `run_strategy` for ledgers of up
+    to `ledger_rows` paths, which a run writes one row slice of its chunk
+    at a time (`PathBundle.rows`)."""
+    return (np.empty((rows, 2 * (sim.n_steps + 1))),
+            ledger_buffers(ledger_rows, sim.n_steps, sim.dt))
 
 
 def simulate_paths(params: ModelParams, config: SimConfig,
@@ -414,6 +414,39 @@ def simulate_paths(params: ModelParams, config: SimConfig,
 
 
 # --- wealth accounting ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class LedgerBuffers:
+    """The buffers of `run_strategy` and `metrics.path_stats` (`out`):
+
+    grids   wealth, pre_wealth, weights and delta of ledgers of up to as many
+            paths as they have rows
+    work    (block, S) floats: a ledger row block's temporaries, and the daily
+            returns of a `path_stats` row block; their rows set the block size
+    e_next  (block, S - 1) floats: e^{X_{i+1}} of a block's trades
+    mask    (block, S) bools: a block's finite weights, then its trade signs
+            and its freeze mask
+    t       the rebalancing days t_i = i dt, i = 1..S-1, of `dt`
+    """
+
+    grids: tuple[np.ndarray, ...]
+    work: np.ndarray
+    e_next: np.ndarray
+    mask: np.ndarray
+    t: np.ndarray
+    dt: float
+
+
+def ledger_buffers(rows: int, n_steps: int, dt: float) -> LedgerBuffers:
+    """`LedgerBuffers` for ledgers of up to `rows` paths over `n_steps` days
+    of `dt`, with row blocks of up to `block_rows(n_steps)` of them."""
+    S = n_steps
+    block = min(block_rows(S), rows)
+    return LedgerBuffers(grids=tuple(_grids(None, rows, (S + 1, S, S, S + 1))),
+                         work=np.empty((block, S)), e_next=np.empty((block, S - 1)),
+                         mask=np.empty((block, S), dtype=bool),
+                         t=np.arange(1, S) * dt, dt=dt)
+
 
 @dataclass(frozen=True)
 class WealthLedger:
@@ -470,15 +503,15 @@ def rebalance_delta(f_next, f_cur, pi_cur, x_cur, x_next, omega: float):
 
 
 def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float, *,
-                 out=None) -> WealthLedger:
+                 out: LedgerBuffers | None = None) -> WealthLedger:
     """Evaluate one strategy on a shared path bundle.
 
     Strategies receive paths, never generate them, so every strategy in an
     experiment consumes identical randomness. Every omega takes the same
-    arithmetic; at omega = 0 the cost term is exactly 0. With `out`, a
-    (wealth, pre_wealth, weights, delta) set of buffers (`chunk_buffers`),
-    the ledger's grids are their leading rows; every element of them is
-    written.
+    arithmetic; at omega = 0 the cost term is exactly 0. The ledger is
+    written into `out` (`chunk_buffers`), its grids the leading rows of
+    `out.grids`, every element of them written; without `out` the call
+    allocates its own (`ledger_buffers`).
     """
     if not (0.0 <= omega < 1.0):
         raise ValidationError([("omega", "omega_out_of_range",
@@ -486,7 +519,11 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float, *,
     n, S = bundle.n_paths, bundle.n_steps
     x = bundle.x
     dt, pi0 = bundle.sim.dt, bundle.sim.pi0
-    wealth, pre_wealth, weights, delta = _grids(out, n, (S + 1, S, S, S + 1))
+    if out is None:
+        out = ledger_buffers(n, S, dt)
+    wealth, pre_wealth, weights, delta = _grids(out.grids, n, (S + 1, S, S, S + 1))
+    if out.work.shape[1] != S or out.dt != dt:
+        raise ValueError(f"out must be LedgerBuffers of {S} days of dt {dt}")
     cost = np.empty(n)
     bankrupt = np.empty(n, dtype=bool)
     ledger = WealthLedger(wealth=wealth, pre_wealth=pre_wealth, weights=weights,
@@ -507,50 +544,41 @@ def run_strategy(bundle: PathBundle, strategy: Strategy, omega: float, *,
     # weights[:, i] is held over [i, i+1): one share (f = 1) on day 0, then
     # the target weight at (t_i, Z_i) for every rebalancing day i = 1..S-1
     weights[:, 0] = 1.0
-    t = np.arange(1, S) * dt
+    t = out.t
     delta[:, 0] = delta[:, S] = 0.0  # no trade on day 0 or the final day
     # every step below is elementwise or along one path, and every weight rule
     # is pointwise per path for a given t, so any row blocking gives the same
     # bits; a block small enough to stay in cache avoids streaming a dozen
     # grid-sized temporaries through memory
-    rows = block_rows(S)
-    scratch = _block_scratch(min(rows, n), S)
+    rows = out.work.shape[0]
     for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
         # Z is formed in the block's weights, which the strategy's then overwrite
         z = np.subtract(x[b, 1:S], bundle.y[b, 1:S], out=weights[b, 1:])
         weights[b, 1:] = strategy.weights(t, z)
-        finite = np.isfinite(weights[b]).all(axis=0)
+        finite = np.isfinite(weights[b], out=out.mask[:z.shape[0]]).all(axis=0)
         if not finite.all():
             t_bad = t[finite.argmin() - 1]
             raise ValidationError([("strategy", "nonfinite_weight",
                                     f"strategy produced non-finite weights at t={t_bad}")])
         _ledger_block(x[b], weights[b], omega, pi0, wealth[b], pre_wealth[b],
-                      delta[b], cost[b], bankrupt[b], scratch)
+                      delta[b], cost[b], bankrupt[b], out)
     return ledger
 
 
-def _block_scratch(rows: int, S: int) -> dict:
-    """The temporaries of a ledger block of up to `rows` paths and `S` weight
-    days, allocated once per ledger so every block reuses the same pages; a
-    block of fewer paths uses their leading rows."""
-    return {"diff": np.empty((rows, S)), "growth": np.empty((rows, S)),
-            "numer": np.empty((rows, S - 1)), "e_next": np.empty((rows, S - 1)),
-            "cost_unit": np.empty((rows, S - 1)),
-            "frozen": np.empty((rows, S), dtype=bool)}
-
-
-def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt,
-                  scratch):
-    """Ledger of one block of paths, written into the block's ledger views
-    through the views of `scratch` (`_block_scratch`); zeroes `weights` from
-    each path's bankrupting day on."""
+def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankrupt, out):
+    """Ledger of one block of paths, written into the block's ledger views;
+    zeroes `weights` from each path's bankrupting day on. The block's growth
+    factors are formed in `pre_wealth` and its share changes per unit of
+    wealth in `delta`, and its other temporaries in the leading rows of
+    `out`'s block arrays (`LedgerBuffers`)."""
     S = weights.shape[1]
-    s = {name: a[:x.shape[0]] for name, a in scratch.items()}
     # growth[:, i]: pre-rebalance wealth on day i+1 per unit of wealth on day i;
     # share change and cost per unit of wealth for the trade on day i+1
-    d_unit, growth, e_next = _unit_share_change(x, weights, omega, s)
-    cost_unit = np.abs(d_unit, out=s["cost_unit"])
+    d_unit, growth, e_next = _unit_share_change(x, weights, omega, pre_wealth,
+                                                delta[:, 1:S], out)
+    # the share change no longer needs the work rows
+    cost_unit = np.abs(d_unit, out=out.work[:x.shape[0], :S - 1])
     np.multiply(omega, cost_unit, out=cost_unit)
     cost_unit *= e_next
 
@@ -561,7 +589,7 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
     # frozen[:, i]: the path went bankrupt on or before the move i -> i+1; its
     # wealth stays at the last positive value and it trades no more. Only a
     # block with a nonpositive factor has a path to freeze.
-    frozen = np.less_equal(factor, 0.0, out=s["frozen"])
+    frozen = np.less_equal(factor, 0.0, out=out.mask[:x.shape[0]])
     froze = frozen.any()
     if froze:
         np.logical_or.accumulate(frozen, axis=1, out=frozen)
@@ -569,23 +597,24 @@ def _ledger_block(x, weights, omega, pi0, wealth, pre_wealth, delta, cost, bankr
     np.cumprod(wealth, axis=1, out=wealth)
 
     cost_unit *= wealth[:, :S - 1]
-    np.multiply(wealth[:, :S - 1], d_unit, out=delta[:, 1:S])
+    np.multiply(wealth[:, :S - 1], d_unit, out=d_unit)
     if froze:  # no trade from the bankrupting day on
         after = frozen[:, :S - 1]
         np.copyto(cost_unit, 0.0, where=after)
-        np.copyto(delta[:, 1:S], 0.0, where=after)
+        np.copyto(d_unit, 0.0, where=after)
         np.copyto(weights[:, 1:], 0.0, where=after)
         np.copyto(growth[:, 1:], 1.0, where=after)
-    np.multiply(wealth[:, :S], growth, out=pre_wealth)
+    np.multiply(wealth[:, :S], growth, out=growth)
     np.sum(cost_unit, axis=1, out=cost)
     bankrupt[:] = frozen[:, -1]
 
 
-def _unit_share_change(x, weights, omega: float, scratch: dict):
+def _unit_share_change(x, weights, omega: float, growth, d_unit, out: LedgerBuffers):
     """`rebalance_delta` of every trade of a ledger block at unit wealth, with
-    the same bits; also the block's growth factors 1 - f + f*e^{dX} and
-    e^{X_{i+1}} of each trade. All three are views of `scratch`
-    (`_block_scratch`, sized to the block).
+    the same bits, written into `d_unit`; also the block's growth factors
+    1 - f + f*e^{dX}, written into `growth`, and e^{X_{i+1}} of each trade,
+    in the leading rows of `out.e_next`. Returns the three. The other
+    temporaries are the leading rows of `out.work` and `out.mask`.
 
     At unit wealth the pre-rebalance wealth is the growth factor itself and
     f_cur * e^{dX} is the term the growth factor already holds, so each is
@@ -595,17 +624,17 @@ def _unit_share_change(x, weights, omega: float, scratch: dict):
     taken per element. No denominator can vanish while |omega*f| < 0.5, so
     only a block past that scans for a singular one.
     """
-    S = weights.shape[1]
+    k, S = weights.shape
     f_next = weights[:, 1:]
-    wx = np.subtract(x[:, 1:], x[:, :-1], out=scratch["diff"])
+    wx = np.subtract(x[:, 1:], x[:, :-1], out=out.work[:k])
     np.exp(wx, out=wx)
     wx *= weights
-    growth = np.subtract(1.0, weights, out=scratch["growth"])
+    np.subtract(1.0, weights, out=growth)
     growth += wx
-    numer = np.multiply(f_next, growth[:, :S - 1], out=scratch["numer"])
+    numer = np.multiply(f_next, growth[:, :S - 1], out=d_unit)
     numer -= wx[:, :S - 1]
     # the frozen mask is not formed yet: its head holds the trade's sign
-    buys = np.greater_equal(numer, 0.0, out=scratch["frozen"][:, :S - 1])
+    buys = np.greater_equal(numer, 0.0, out=out.mask[:k, :S - 1])
     den = np.multiply(buys, 2.0 * omega, out=wx[:, :S - 1])
     den -= omega
     den *= f_next
@@ -614,7 +643,7 @@ def _unit_share_change(x, weights, omega: float, scratch: dict):
         raise LeverageCostSingularityError(
             "1 +/- omega*f_next vanished; share-change equation singular")
     den += 1.0
-    e_next = np.exp(x[:, 1:S], out=scratch["e_next"])
+    e_next = np.exp(x[:, 1:S], out=out.e_next[:k])
     den *= e_next
     numer /= den
     return numer, growth, e_next

@@ -149,16 +149,16 @@ def mc_log_growth(params, strategy, horizon, n_paths, dt, seed, chunk=200, omega
     """Per-path (1/T) log terminal wealth under one strategy, chunked to
     bound memory; exact per-path substreams make the chunking irrelevant.
     Each chunk is drawn into one X|Y buffer, and its ledger runs on row
-    slices of at most `experiments.CHUNK_BYTES` per grid in one set of
-    ledger buffers, as a streamed run's does; the ledger is row-local, so
-    the slicing changes no bit."""
+    slices of one ledger row block in one set of ledger buffers, as a
+    streamed run's does; the ledger is row-local, so the slicing changes
+    no bit."""
     import expma_lab as xl
 
     vals = []
     cfg = xl.SimConfig(horizon_months=horizon, n_paths=min(chunk, n_paths),
                        seed=seed, dt=dt)
-    rows = min(cfg.n_paths, max(1, xl.experiments.CHUNK_BYTES // (8 * (cfg.n_steps + 1))))
-    xy, ledger_out = xl.simulate.chunk_buffers(cfg.n_paths, rows, cfg.n_steps)
+    rows = min(cfg.n_paths, xl.simulate.block_rows(cfg.n_steps))
+    xy, ledger_out = xl.simulate.chunk_buffers(cfg.n_paths, rows, cfg)
     for off in range(0, n_paths, cfg.n_paths):
         bundle = xl.simulate_paths(params, cfg, path_offset=off, out=xy)
         for lo in range(0, cfg.n_paths, rows):

@@ -328,11 +328,13 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     (256, 257, 257 paths) reports the rows, CSV and bundle hashes of its
     one-chunk run. Every `simulate_paths` and `run_strategy` call returns
     grids in the memory of the run's first call, so the buffers are sized
-    for the largest chunk, not the first. With 16-step fill tiles, the
-    traced peak is about six chunk grids: the bundle's two (its X|Y row
-    pair, which holds the fill's draws) and one ledger's four. (The fill
-    tiles are bounded by BLOCK_BYTES, not by the chunk: at the default they
-    hold 127-128 of the 504 days here.)"""
+    for the largest chunk, not the first. With 16-step fill tiles and
+    8-path ledger blocks, the traced peak is under 2.75 chunk grids (2.73
+    measured): the bundle's two (its X|Y row pair, which holds the fill's
+    draws), one ledger slice of one block and its temporaries, and the
+    recorded calls' per-path arrays. (The fill tiles are bounded by
+    BLOCK_BYTES, not by the chunk: at the default they hold 127-128 of the
+    504 days here.)"""
     cfg = ExperimentConfig.from_dict(config_dict(
         experiment="cost_sweep", n_paths=770, horizon=24.0, sweep_values=[0.0, 0.001]))
     whole = run_experiment(cfg)
@@ -362,24 +364,27 @@ def test_streamed_run_writes_every_chunk_into_one_set_of_buffers(monkeypatch):
     assert streamed.to_csv() == whole.to_csv()
     assert [r.to_dict() for r in streamed.rows] == [r.to_dict() for r in whole.rows]
     assert streamed.metadata["bundle_hashes"] == whole.metadata["bundle_hashes"]
-    assert (len(bundles), len(ledgers)) == (3, 9)
+    # 8-path ledger slices: 32, 33 and 33 per chunk, each for the 3 rows
+    assert (len(bundles), len(ledgers)) == (3, 3 * (32 + 33 + 33))
     for calls, names in ((bundles, ("x", "y")),
                          (ledgers, ("wealth", "pre_wealth", "weights", "delta"))):
         for call in calls:
             for name in names:
                 assert np.shares_memory(getattr(call, name), getattr(calls[0], name)), name
     grid = 8 * 257 * (S + 1)
-    assert peak < 6.5 * grid, peak / grid
+    assert peak < 2.75 * grid, peak / grid
 
 
-def test_long_row_ledgers_run_on_chunk_bytes_slices(monkeypatch):
+def test_long_row_ledgers_run_on_one_block_slices(monkeypatch):
     """A 300 x 2,520 Markov panel is one path chunk, floored at
-    MIN_BLOCK_PATHS, even at a CHUNK_BYTES of 64 rows. Its ledgers then run
-    on row slices of at most 64 paths, ceil(300 / 64) = 5 per row, every
-    one in the memory of the first, and the run reports the CSV, JSON rows
-    and bundle hashes of the default run. Its traced peak is about the
-    chunk's two X|Y grids plus four slice grids, where a ledger as tall as
-    the chunk holds six chunk grids."""
+    MIN_BLOCK_PATHS, even at a CHUNK_BYTES of 64 rows. Its ledgers run on
+    row slices of one ledger row block, `block_rows(2520)` = 12 paths, 25
+    per row, every one in the memory of the first, and the run reports the
+    CSV, JSON rows and bundle hashes of the default run. Its traced peak
+    from the first chunk on is about the chunk's two X|Y grids plus four
+    slice grids, where a ledger as tall as the chunk holds six chunk grids.
+    (The filter strategy's tabulation peaks higher before any chunk is
+    drawn, so the peak is taken from the first chunk on.)"""
     cfg = ExperimentConfig.from_dict(markov_config(n_paths=300, horizon=120.0))
     whole = run_experiment(cfg)
     row_bytes = 8 * (cfg.sim.n_steps + 1)
@@ -392,6 +397,13 @@ def test_long_row_ledgers_run_on_chunk_bytes_slices(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(xl.experiments, "run_strategy", recorded)
+    draw = xl.experiments.simulate_paths
+
+    def first_chunk_resets_peak(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(xl.experiments, "simulate_paths", first_chunk_resets_peak)
     tracemalloc.start()
     try:
         sliced = run_experiment(cfg)
@@ -406,11 +418,12 @@ def test_long_row_ledgers_run_on_chunk_bytes_slices(monkeypatch):
     for strategy, ledger in calls:
         per_row.setdefault(id(strategy), []).append(ledger.n_paths)
     assert len(per_row) == len(sliced.rows) == 4
-    assert all(sizes == [64, 64, 64, 64, 44] for sizes in per_row.values()), per_row
+    assert xl.simulate.block_rows(cfg.sim.n_steps) == 12
+    assert all(sizes == [12] * 25 for sizes in per_row.values()), per_row
     for _, ledger in calls:
         for name in ("wealth", "pre_wealth", "weights", "delta"):
             assert np.shares_memory(getattr(ledger, name), getattr(calls[0][1], name)), name
-    chunk_grid, slice_grid = 300 * row_bytes, 64 * row_bytes
+    chunk_grid, slice_grid = 300 * row_bytes, 12 * row_bytes
     bound = 2 * chunk_grid + 4 * slice_grid + 16 * xl.simulate.BLOCK_BYTES
     assert peak < bound, (peak / chunk_grid, bound / chunk_grid)
 

@@ -9,7 +9,7 @@ from expma_lab import (ConstantAffine, MetricsReport, SimConfig,
                        WealthLedger, compute_metrics, growth_limit_affine,
                        run_strategy, simulate_paths)
 from expma_lab.metrics import PathStats, path_stats
-from expma_lab.simulate import BLOCK_BYTES, block_rows
+from expma_lab.simulate import BLOCK_BYTES, block_rows, ledger_buffers
 
 
 def ledger_from_wealth(wealth, bankrupt=None, dt=1.0 / 21.0, omega=0.0, pi0=1.0):
@@ -193,6 +193,38 @@ def test_metrics_of_concatenated_row_slices_are_bitwise(n, steps, bankrupt_rows,
     assert whole.bankrupt_count == len(bankrupt_rows)
     assert repr(split) == repr(whole)
     assert compute_metrics(path_stats(ledger_from_wealth(wealth, bankrupt=bankrupt))) == whole
+
+
+@pytest.mark.parametrize("n, steps, bankrupt_rows", [
+    (6, 1, [1, 4]),         # one-day rows: no sample std
+    (9, 2, [0, 8]),
+    (150, 504, [0, 63, 64, 149]),  # 64-row blocks, the last one short
+    (1, 504, []),           # a one-row ledger
+    (1, 25_200, []),
+    (3, 25_200, [1]),       # rows wider than a block: one row per block
+])
+@pytest.mark.parametrize("buffers", ["own", "run"])
+def test_path_stats_are_numpys_mean_and_std_bitwise(n, steps, bankrupt_rows, buffers):
+    """Each non-bankrupt row's statistics are numpy's `r.mean(axis=1)` and
+    `r.std(axis=1, ddof=1)` of its daily returns bit for bit, with the
+    daily-return blocks allocated by the call or formed in a run's
+    buffers, taller than the ledger and holding stale values; a one-day
+    row's std is 0."""
+    wealth, bankrupt = _with_bankrupt_rows(n, steps, bankrupt_rows)
+    out = None
+    if buffers == "run":
+        out = ledger_buffers(n + 5, steps, 1.0 / 21.0)
+        out.work.fill(np.nan)
+    stats = path_stats(ledger_from_wealth(wealth, bankrupt=bankrupt), out=out)
+    r = wealth[:, 1:] / wealth[:, :-1] - 1.0
+    ok = ~bankrupt
+    assert stats.means.tobytes() == r.mean(axis=1)[ok].tobytes()
+    if steps == 1:
+        assert not stats.stds.any()
+    else:
+        assert stats.stds.tobytes() == r.std(axis=1, ddof=1)[ok].tobytes()
+    assert stats.terminal.tobytes() == wealth[:, -1].tobytes()
+    assert stats.bankrupt.tobytes() == bankrupt.tobytes()
 
 
 def test_all_bankrupt_slices_raise_only_when_reduced():

@@ -14,8 +14,8 @@ from expma_lab import (BuyAndHold, ConstantAffine, LeverageCostSingularityError,
                        SimConfig, ValidationError, growth_limit_affine, ou_moments,
                        rebalance_delta, run_strategy, self_financing_residuals,
                        simulate_paths)
-from expma_lab.simulate import (_block_scratch, _ctmc_drift, _ctmc_jump_times, _path_rngs,
-                                _unit_share_change, block_rows)
+from expma_lab.simulate import (_ctmc_drift, _ctmc_jump_times, _path_rngs, _unit_share_change,
+                                block_rows, ledger_buffers)
 from oracles import (ctmc_drift_by_search, ctmc_jump_times_loop, expma_strided,
                      frictionless_wealth, ledger_fresh_blocks, ou_paths_per_path_rng,
                      reference_ledger)
@@ -141,7 +141,7 @@ def test_fill_tiles_allocate_about_one_block_per_array(benchmark_params):
     more: the fill draws its noise into the bundle's X|Y rows, so neither
     allocates a grid of the bundle."""
     cfg = small_config(n_paths=1000, horizon_months=24.0)
-    out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_paths, cfg.n_steps)
+    out, _ = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_paths, cfg)
     b = simulate_paths(benchmark_params, cfg, out=out)
     block = xl.simulate.BLOCK_BYTES
     tracemalloc.start()
@@ -429,7 +429,9 @@ def test_ledger_share_change_matches_share_change(omega):
     for f, x in ((weights, b.x), (zeros, zeros_x)):
         ex, e_next = np.exp(np.diff(x, axis=1)), np.exp(x[:, 1:-1])
         ref = rebalance_delta(f[:, 1:], f[:, :-1], 1.0, x[:, :-2], x[:, 1:-1], omega)
-        d_unit, growth, mine_e_next = _unit_share_change(x, f, omega, _block_scratch(*f.shape))
+        d_unit, growth, mine_e_next = _unit_share_change(
+            x, f, omega, np.empty(f.shape), np.empty((f.shape[0], f.shape[1] - 1)),
+            ledger_buffers(*f.shape, 1.0))
         assert d_unit.tobytes() == ref.tobytes()
         assert growth.tobytes() == (1.0 - f + f * ex).tobytes()
         assert mine_e_next.tobytes() == e_next.tobytes()
@@ -649,6 +651,29 @@ def test_nonfinite_weight_names_a_simulated_day(benchmark_params):
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.001])
+def test_one_block_ledger_and_stats_allocate_no_block_scratch(benchmark_params, omega):
+    """With a run's buffers (`chunk_buffers`), the ledger of one row block of
+    64 x 504 and its statistics allocate less than one BLOCK_BYTES in all:
+    their block temporaries and daily returns are formed in the buffers, so
+    what is left is per-path arrays and numpy's iteration buffers. (The
+    buffers of each call once held about six blocks.) The weight rule
+    works in place, so the strategy allocates nothing either."""
+    cfg = small_config(n_paths=64, horizon_months=24.0)
+    assert block_rows(cfg.n_steps) == cfg.n_paths
+    bundle = simulate_paths(benchmark_params, cfg)
+    _, buffers = xl.simulate.chunk_buffers(cfg.n_paths, cfg.n_paths, cfg)
+    strat = NonlinearFilter(g=lambda z: np.multiply(z, 0.5, out=z))
+    xl.metrics.path_stats(run_strategy(bundle, strat, omega, out=buffers), out=buffers)
+    tracemalloc.start()
+    try:
+        xl.metrics.path_stats(run_strategy(bundle, strat, omega, out=buffers), out=buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xl.simulate.BLOCK_BYTES, peak / xl.simulate.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.001])
 def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentle_params,
                                                      omega):
     """`simulate_paths` and `run_strategy` write into the leading rows of
@@ -667,7 +692,9 @@ def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentl
                                            NonlinearFilter, BuyAndHold, ConstantAffine]
     for params, strat in cases:
         xy = np.full((cfg.n_paths + spare, 2 * (S + 1)), np.nan)
-        ledger_out = [np.full((cfg.n_paths + spare, w), np.nan) for w in (S + 1, S, S, S + 1)]
+        ledger_out = ledger_buffers(cfg.n_paths + spare, S, cfg.dt)
+        for buf in ledger_out.grids:
+            buf.fill(np.nan)
         fresh = simulate_paths(params, cfg)
         bundle = simulate_paths(params, cfg, out=xy)
         for name in ("x", "y"):
@@ -679,12 +706,14 @@ def test_out_buffers_give_the_allocating_calls_bits(benchmark_params, ctmc_gentl
         led = run_strategy(bundle, strat, omega, out=ledger_out)
         for field in ("wealth", "pre_wealth", "weights", "delta", "cost", "bankrupt"):
             assert getattr(led, field).tobytes() == getattr(ref, field).tobytes(), field
-        for name, buf in zip(("wealth", "pre_wealth", "weights", "delta"), ledger_out):
+        for name, buf in zip(("wealth", "pre_wealth", "weights", "delta"), ledger_out.grids):
             got = getattr(led, name)
             assert np.shares_memory(got, buf) and np.isnan(buf[cfg.n_paths:]).all(), name
     assert led.bankrupt.any()
-    with pytest.raises(ValueError):
-        run_strategy(bundle, strat, omega, out=[b[:cfg.n_paths - 1] for b in ledger_out])
+    short = dataclasses.replace(ledger_out, grids=[b[:cfg.n_paths - 1] for b in ledger_out.grids])
+    for wrong in (short, dataclasses.replace(ledger_out, dt=2 * cfg.dt)):
+        with pytest.raises(ValueError):
+            run_strategy(bundle, strat, omega, out=wrong)
     for wrong in (xy[:, :-1], (xy, xy[:, :S + 1])):  # a narrow grid; the old (xy, mu) pair
         with pytest.raises(ValueError):
             simulate_paths(params, cfg, out=wrong)
