@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import simulate
 from .ctmc import _drift
 from .errors import (NumericError, OutsideSupportError, QuadratureError,
                      SchemeInstabilityError, ValidationError)
@@ -71,6 +72,29 @@ class QDecomposition:
         mean, var = self.phi_params(t)
         x = np.asarray(x, dtype=float)
         return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def _phi_sums(qd: QDecomposition, t: float, x: np.ndarray, z: np.ndarray,
+             *weights: np.ndarray) -> list[np.ndarray]:
+    """sum_j phi(t, x_i - z_j) w_j at every point x_i, one array per weight
+    vector w on the nodes z.
+
+    The points go one block at a time, each block's phi matrix about
+    `simulate.BLOCK_BYTES`, and one phi block serves every w. Each row sums
+    by numpy's pairwise `add.reduce`, whose order depends on the row alone,
+    so no block height changes a bit (a BLAS product rounds by its row
+    count).
+    """
+    rows = max(1, simulate.BLOCK_BYTES // (8 * z.size))
+    sums = [np.empty(x.size) for _ in weights]
+    prod = np.empty((min(rows, x.size), z.size))
+    for lo in range(0, x.size, rows):
+        phi = qd.phi(t, x[lo:lo + rows, None] - z)
+        block = prod[:len(phi)]
+        for w, out in zip(weights, sums):
+            np.multiply(phi, w, out=block)
+            np.add.reduce(block, axis=1, out=out[lo:lo + rows])
+    return sums
 
 
 def _jacobi_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
@@ -139,7 +163,8 @@ class StationaryLaw:
     a_exp = alpha/lambda and b_exp = beta/lambda are the Beta exponents;
     u_inf ~ Beta(a_exp, b_exp + 1), v_inf ~ Beta(a_exp + 1, b_exp) on the
     support, and the unconditional mixture is Beta(a_exp, b_exp). c and
-    d = beta*c/alpha normalize the kernel l(z).
+    d = beta*c/alpha normalize the kernel
+    l(z) = (lambda z - rho1)^(a_exp-1) (rho2 - lambda z)^(b_exp-1).
     """
 
     params: ModelParams
@@ -169,13 +194,6 @@ class StationaryLaw:
     def _s(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def kernel(self, z):
-        """l(z) = (lambda z - rho1)^(a_exp-1) * (rho2 - lambda z)^(b_exp-1)."""
-        dr = self.params.drift
-        lam = self.params.lam
-        z = np.asarray(z, dtype=float)
-        return (lam * z - dr.rho1) ** (self.a_exp - 1.0) * (dr.rho2 - lam * z) ** (self.b_exp - 1.0)
 
     def u_inf(self, x):
         """Conditional c.d.f. of the limit drift integral given the low start."""
@@ -225,10 +243,8 @@ def p_q_infinity(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     law = stationary_law(params)
     q = QDecomposition(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    zp, wp = law.nodes(0.0, 1.0)
-    zq, wq = law.nodes(1.0, 0.0)
-    p = q.phi(math.inf, x[:, None] - zp[None, :]) @ wp
-    qq = q.phi(math.inf, x[:, None] - zq[None, :]) @ wq
+    (p,) = _phi_sums(q, math.inf, x, *law.nodes(0.0, 1.0))
+    (qq,) = _phi_sums(q, math.inf, x, *law.nodes(1.0, 0.0))
     return p, qq
 
 
@@ -415,8 +431,9 @@ def conditional_densities(params: ModelParams, t: float, x,
         dv = np.diff(grid.v[i])
         dv[-1] = max(dv[-1] - atom_v, 0.0)
         lo, hi = xs[0], xs[-1]
-        p = atom_u * qd.phi(t, x - lo) + qd.phi(t, x[:, None] - mid[None, :]) @ du
-        q = atom_v * qd.phi(t, x - hi) + qd.phi(t, x[:, None] - mid[None, :]) @ dv
+        p, q = _phi_sums(qd, t, x, mid, du, dv)
+        p += atom_u * qd.phi(t, x - lo)
+        q += atom_v * qd.phi(t, x - hi)
     if np.any(p < -1e-10) or np.any(q < -1e-10):
         raise NumericError("negative conditional density: grid or quadrature failure")
     return p, q
@@ -545,9 +562,7 @@ def long_run_growth_ctmc(params: ModelParams) -> float:
     ys = (mids[:, None] + half[:, None] * gl_x[None, :]).ravel()
     wy = (half[:, None] * gl_w[None, :]).ravel()
 
-    phi = qd.phi(math.inf, ys[:, None] - z_nodes[None, :])
-    N = phi @ w
-    M = phi @ (w * z_nodes)
+    N, M = _phi_sums(qd, math.inf, ys, z_nodes, w, w * z_nodes)
     integrand = np.where(N > 0.0, M * M / np.where(N > 0.0, N, 1.0), 0.0)
     value = prefactor * float(integrand @ wy)
 

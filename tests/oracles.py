@@ -400,3 +400,12 @@ def reference_uv_march(params, t_max, nx=512, snapshot_times=None):
         out_v.append(v.copy())
         out_t.append(t)
     return np.asarray(out_t), np.asarray(out_u), np.asarray(out_v)
+
+
+def stationary_kernel(law, z):
+    """The kernel l(z) = (lambda z - rho1)^(a_exp-1) * (rho2 - lambda z)^(b_exp-1)
+    of a `StationaryLaw`, which its normalizer c integrates."""
+    dr = law.params.drift
+    lam = law.params.lam
+    z = np.asarray(z, dtype=float)
+    return (lam * z - dr.rho1) ** (law.a_exp - 1.0) * (dr.rho2 - lam * z) ** (law.b_exp - 1.0)

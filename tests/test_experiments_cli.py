@@ -381,10 +381,8 @@ def test_long_row_ledgers_run_on_one_block_slices(monkeypatch):
     row slices of one ledger row block, `block_rows(2520)` = 12 paths, 25
     per row, every one in the memory of the first, and the run reports the
     CSV, JSON rows and bundle hashes of the default run. Its traced peak
-    from the first chunk on is about the chunk's two X|Y grids plus four
-    slice grids, where a ledger as tall as the chunk holds six chunk grids.
-    (The filter strategy's tabulation peaks higher before any chunk is
-    drawn, so the peak is taken from the first chunk on.)"""
+    is about the chunk's two X|Y grids plus four slice grids, where a
+    ledger as tall as the chunk holds six chunk grids."""
     cfg = ExperimentConfig.from_dict(markov_config(n_paths=300, horizon=120.0))
     whole = run_experiment(cfg)
     row_bytes = 8 * (cfg.sim.n_steps + 1)
@@ -397,13 +395,6 @@ def test_long_row_ledgers_run_on_one_block_slices(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(xl.experiments, "run_strategy", recorded)
-    draw = xl.experiments.simulate_paths
-
-    def first_chunk_resets_peak(*args, **kwargs):
-        tracemalloc.reset_peak()
-        return draw(*args, **kwargs)
-
-    monkeypatch.setattr(xl.experiments, "simulate_paths", first_chunk_resets_peak)
     tracemalloc.start()
     try:
         sliced = run_experiment(cfg)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from expma_lab import (CTMC2Drift, ModelParams, OutsideSupportError,
                        p_q_infinity, solve_uv_pde, stationary_law)
 from expma_lab.experiments import ExperimentConfig
 from expma_lab.regime_filter import UniformInterp, _beta_nodes
-from oracles import ctmc_drift_integral, reference_uv_march
+from oracles import ctmc_drift_integral, reference_uv_march, stationary_kernel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -43,7 +44,7 @@ def test_stationary_law_normalizers(ctmc_params):
     d = ctmc_params.drift
     assert law.d == pytest.approx(d.beta * law.c / d.alpha, rel=1e-14)
     # c integrates the defining kernel to u_inf(hi) = 1
-    val, _ = integrate.quad(lambda z: (d.rho2 - ctmc_params.lam * z) * law.kernel(z),
+    val, _ = integrate.quad(lambda z: (d.rho2 - ctmc_params.lam * z) * stationary_kernel(law, z),
                             law.lo, law.hi, epsabs=1e-12, limit=200)
     assert law.c * val == pytest.approx(1.0, rel=1e-8)
 
@@ -468,6 +469,43 @@ def test_long_run_growth_on_growth_config_is_pinned():
     roots_jacobi and betaln was 0.21606856087904108."""
     p = ExperimentConfig.from_json_file(str(CONFIGS / "growth_ctmc.json")).params
     assert long_run_growth_ctmc(p) == pytest.approx(0.21606856087904108, rel=1e-10)
+
+
+# --- point blocks of the node sums ---------------------------------------------------
+
+def test_node_sums_keep_their_bits_at_every_block_height(ctmc_params, monkeypatch):
+    """p_inf, q_inf, the long-run growth and the finite-t densities keep
+    their bits whether their node sums run on blocks of 1, 2, 13 or 255
+    points or on every point at once: each row is summed in the same order
+    whatever its block."""
+    t = 2.0
+    g = solve_uv_pde(ctmc_params, t_max=t, nx=512, snapshot_times=[t])
+    law = stationary_law(ctmc_params)
+    xs = np.linspace(law.lo - 0.5, law.hi + 0.5, 4001)
+    runs = []
+    for rows in (1, 2, 13, 255, 4096):  # 4096: every point in one block
+        monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", rows * 8 * xl.regime_filter.BETA_NODES)
+        values = [*p_q_infinity(ctmc_params, xs), long_run_growth_ctmc(ctmc_params)]
+        monkeypatch.setattr(xl.simulate, "BLOCK_BYTES", rows * 8 * (g.xi.size - 1))
+        values += conditional_densities(ctmc_params, t, xs, grid=g)
+        runs.append([np.asarray(v).tobytes() for v in values])
+    for rows, run in zip((1, 2, 13, 255), runs):
+        assert run == runs[-1], rows
+
+
+def test_node_sums_hold_a_few_blocks(ctmc_params):
+    """One long-run growth call and one filter tabulation each peak under
+    8 BLOCK_BYTES (about 5.5 measured), where one points x nodes matrix of
+    either is about 24."""
+    for fn in (long_run_growth_ctmc, filter_strategy):
+        fn(ctmc_params)  # the first call caches the Beta nodes
+        tracemalloc.start()
+        try:
+            fn(ctmc_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * xl.simulate.BLOCK_BYTES, (fn.__name__, peak / xl.simulate.BLOCK_BYTES)
 
 
 def test_filter_vs_eq10_form(ctmc_params):
